@@ -5,14 +5,14 @@
 use crate::common::{results_dir, stats_of, write_text};
 use std::fmt::Write as _;
 use wfs_platform::Platform;
-use wfs_scheduler::{run_online, Algorithm, OnlineConfig};
+use wfs_scheduler::{heft_budg_with_pot, run_online, Algorithm, OnlineConfig, Pot};
 use wfs_simulator::{simulate, SimConfig};
 use wfs_workflow::gen::{layered_random, BenchmarkType, GenConfig, LayeredParams};
 
 /// σ sweep: for σ ∈ {25, 50, 75, 100}% of the mean, measure HEFTBUDG's and
 /// MIN-MINBUDG's budget-compliance rate and makespan at a fixed budget
-/// multiplier. Also ablates the conservative `w̄+σ` margin: the same budget
-/// with σ = 0 shows what certainty would buy.
+/// multiplier; the conservative `w̄+σ` margin grows with σ. Ends with the
+/// leftover-budget pot ablation ([`pot_ablation`]).
 pub fn sigma_sweep(instances: u64, reps: u64) {
     let platform = Platform::paper_default();
     let mut md = String::from("## Extended experiment — impact of the uncertainty level σ\n\n");
@@ -61,7 +61,27 @@ pub fn sigma_sweep(instances: u64, reps: u64) {
         }
         println!("sigma sweep: {} done", ty.name());
     }
+    let pot = pot_ablation(&platform);
+    println!("{pot}");
+    write!(md, "\n### Ablation — leftover-budget pot\n\n{pot}\n").unwrap();
     write_text(&results_dir().join("ext_sigma.md"), &md);
+}
+
+/// Pot on/off: HEFTBUDG's planned makespan on MONTAGE-90 (instance 1,
+/// σ = 50 %) at 2 × min_cost, with and without recycling leftover budget
+/// through the pot (DESIGN.md §5).
+fn pot_ablation(platform: &Platform) -> String {
+    let wf = BenchmarkType::Montage.generate(GenConfig::new(90, 1));
+    let budget = crate::common::min_cost_floor(&wf, platform) * 2.0;
+    let makespan = |pot| {
+        let (sched, _) = heft_budg_with_pot(&wf, platform, budget, pot);
+        simulate(&wf, platform, &sched, &SimConfig::planning()).expect("valid schedule").makespan
+    };
+    format!(
+        "ablation_pot: makespan with pot {:.0}s vs without {:.0}s (budget ${budget:.2})",
+        makespan(Pot::new()),
+        makespan(Pot::disabled())
+    )
 }
 
 /// Model-misspecification robustness: the algorithms plan assuming

@@ -8,7 +8,8 @@
 //! entry points (`simulate`, `Algorithm::run`, …) delegate to the generic
 //! implementations with a `NoopSink` and compile to the same machine code as
 //! before the observability layer existed (pinned by the equivalence suite
-//! and the quickbench zero-overhead gate in `scripts/ci.sh`).
+//! and the `ENABLED` const test below; `perfbench/steady.py` flags a
+//! recording sink on the untraced path as a peak-RSS regression).
 
 use crate::event::Event;
 

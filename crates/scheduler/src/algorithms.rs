@@ -1,11 +1,11 @@
 //! Uniform entry point over every scheduling algorithm in the paper —
-//! used by the experiment harness, benches and examples.
+//! used by the CLI, the experiment harness, perfbench and examples.
 
 use crate::bdt::bdt;
 use crate::cg::{cg, cg_plus};
-use crate::heft::{heft, heft_budg, heft_budg_observed, heft_observed};
-use crate::minmin::{min_min, min_min_budg, min_min_budg_observed, min_min_observed};
-use crate::refine::{heft_budg_plus, heft_budg_plus_observed, RefineOrder};
+use crate::heft::{heft_budg_observed, heft_observed};
+use crate::minmin::{min_min_budg_observed, min_min_observed};
+use crate::refine::{heft_budg_plus_observed, RefineOrder};
 use wfs_observe::{Event as Obs, EventSink, NoopSink};
 use wfs_platform::Platform;
 use wfs_simulator::Schedule;
@@ -151,7 +151,13 @@ impl Algorithm {
             Algorithm::HeftBudgPlusInv => {
                 heft_budg_plus_observed(wf, platform, budget, RefineOrder::Reverse, sink)
             }
-            other => other.run_unchecked(wf, platform, budget),
+            Algorithm::Bdt => bdt(wf, platform, budget),
+            Algorithm::Cg => cg(wf, platform, budget),
+            Algorithm::CgPlus => cg_plus(wf, platform, budget),
+            Algorithm::MaxMin => crate::max_min(wf, platform),
+            Algorithm::MaxMinBudg => crate::max_min_budg(wf, platform, budget),
+            Algorithm::Sufferage => crate::sufferage(wf, platform),
+            Algorithm::SufferageBudg => crate::sufferage_budg(wf, platform, budget),
         };
         #[cfg(debug_assertions)]
         {
@@ -169,28 +175,6 @@ impl Algorithm {
             }
         }
         schedule
-    }
-
-    fn run_unchecked(self, wf: &Workflow, platform: &Platform, budget: f64) -> Schedule {
-        match self {
-            Algorithm::MinMin => min_min(wf, platform),
-            Algorithm::Heft => heft(wf, platform),
-            Algorithm::MinMinBudg => min_min_budg(wf, platform, budget),
-            Algorithm::HeftBudg => heft_budg(wf, platform, budget).0,
-            Algorithm::HeftBudgPlus => {
-                heft_budg_plus(wf, platform, budget, RefineOrder::Forward)
-            }
-            Algorithm::HeftBudgPlusInv => {
-                heft_budg_plus(wf, platform, budget, RefineOrder::Reverse)
-            }
-            Algorithm::Bdt => bdt(wf, platform, budget),
-            Algorithm::Cg => cg(wf, platform, budget),
-            Algorithm::CgPlus => cg_plus(wf, platform, budget),
-            Algorithm::MaxMin => crate::max_min(wf, platform),
-            Algorithm::MaxMinBudg => crate::max_min_budg(wf, platform, budget),
-            Algorithm::Sufferage => crate::sufferage(wf, platform),
-            Algorithm::SufferageBudg => crate::sufferage_budg(wf, platform, budget),
-        }
     }
 }
 

@@ -130,8 +130,8 @@ fn observed_runs_are_bit_identical_to_plain_runs() {
     }
 }
 
-/// The BENCH_sched_time.json HEFTBUDG+ cells occasionally show fast slower
-/// than naive (e.g. montage-30 at 0.68x in one pin). The counters prove
+/// HEFTBUDG+ fast-vs-naive timings occasionally show fast slower than
+/// naive (e.g. montage-30 at 0.68x in one measurement). The counters prove
 /// that is timing noise, not a fast-path hot spot: in both modes the
 /// refinement phase performs the *same* number of trials and acceptances
 /// and the planner does the same number of sweeps and candidate

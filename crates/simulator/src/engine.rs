@@ -949,6 +949,7 @@ pub fn simulate_observed<S: EventSink>(
     sink: &mut S,
 ) -> Result<SimulationReport, SimError> {
     schedule.validate(wf)?;
+    schedule.check_categories(platform)?;
     Engine::new(wf, platform, schedule, config, &FaultConfig::none(), sink)
         .run()
         .map(|r| r.report)
@@ -981,5 +982,6 @@ pub fn simulate_with_faults_observed<S: EventSink>(
     sink: &mut S,
 ) -> Result<FaultRun, SimError> {
     schedule.validate(wf)?;
+    schedule.check_categories(platform)?;
     Engine::new(wf, platform, schedule, config, faults, sink).run()
 }

@@ -251,6 +251,22 @@ mod engine_tests {
     }
 
     #[test]
+    fn schedule_naming_a_missing_category_is_rejected() {
+        let wf = chain(2, 10.0, 0.0);
+        let p = unit_platform();
+        let mut s = Schedule::new(wf.task_count());
+        let vm = s.add_vm(CategoryId(99));
+        for &t in wf.topological_order() {
+            s.assign(t, vm);
+        }
+        let want = SimError::Schedule(ScheduleError::UnknownCategory(vm, CategoryId(99)));
+        assert_eq!(simulate(&wf, &p, &s, &SimConfig::planning()).unwrap_err(), want);
+        let faulted =
+            simulate_with_faults(&wf, &p, &s, &SimConfig::planning(), &FaultConfig::none());
+        assert_eq!(faulted.unwrap_err(), want);
+    }
+
+    #[test]
     fn zero_size_edges_execute_instantly() {
         let mut b = WorkflowBuilder::new("z");
         let a = b.add_task("a", StochasticWeight::fixed(10.0));

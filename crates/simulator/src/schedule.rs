@@ -2,7 +2,7 @@
 //! the simulator.
 
 use serde::{Deserialize, Serialize};
-use wfs_platform::CategoryId;
+use wfs_platform::{CategoryId, Platform};
 use wfs_workflow::{TaskId, Workflow};
 
 /// Identifier of a VM *instance* enrolled by a schedule (dense indices).
@@ -36,6 +36,8 @@ pub enum ScheduleError {
     Deadlock,
     /// A VM id out of range was referenced.
     UnknownVm(VmId),
+    /// A VM instance names a category the platform does not have.
+    UnknownCategory(VmId, CategoryId),
 }
 
 impl std::fmt::Display for ScheduleError {
@@ -47,6 +49,9 @@ impl std::fmt::Display for ScheduleError {
             }
             ScheduleError::Deadlock => write!(f, "schedule deadlocks (cross-VM circular wait)"),
             ScheduleError::UnknownVm(v) => write!(f, "unknown VM {v}"),
+            ScheduleError::UnknownCategory(v, c) => {
+                write!(f, "{v} has category {c}, which the platform does not have")
+            }
         }
     }
 }
@@ -201,7 +206,8 @@ impl Schedule {
     pub fn validate(&self, wf: &Workflow) -> Result<(), ScheduleError> {
         let n = wf.task_count();
         for t in wf.task_ids() {
-            match self.assignment[t.index()] {
+            // `get`: a deserialized schedule may be shorter than `wf`.
+            match self.assignment.get(t.index()).copied().flatten() {
                 None => return Err(ScheduleError::Unassigned(t)),
                 Some(vm) if vm.index() >= self.vms.len() => {
                     return Err(ScheduleError::UnknownVm(vm))
@@ -260,6 +266,17 @@ impl Schedule {
         }
         Ok(())
     }
+
+    /// Check that every enrolled VM names a category `platform` has. A
+    /// deserialized schedule may name any category; the simulator indexes
+    /// the platform by it.
+    pub(crate) fn check_categories(&self, platform: &Platform) -> Result<(), ScheduleError> {
+        let k = platform.category_count();
+        match self.vm_ids().zip(&self.vms).find(|(_, c)| c.index() >= k) {
+            Some((vm, &c)) => Err(ScheduleError::UnknownCategory(vm, c)),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -298,6 +315,16 @@ mod tests {
         let v0 = s.add_vm(cat(0));
         s.assign(TaskId(0), v0);
         assert_eq!(s.validate(&wf).unwrap_err(), ScheduleError::Unassigned(TaskId(1)));
+    }
+
+    #[test]
+    fn schedule_shorter_than_workflow_is_unassigned() {
+        let wf = chain(3, 10.0, 1e6);
+        let mut s = Schedule::new(2);
+        let v0 = s.add_vm(cat(0));
+        s.assign(TaskId(0), v0);
+        s.assign(TaskId(1), v0);
+        assert_eq!(s.validate(&wf).unwrap_err(), ScheduleError::Unassigned(TaskId(2)));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Offline CI: build, test, lint, and a one-iteration benchmark smoke run.
+# Offline CI: build, test, lint, fault/trace smokes and a perfbench correctness smoke.
 # Run from the repository root: ./scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -18,38 +18,50 @@ cargo run --release -p wfs-analyze -- --workspace
 
 echo "== fault-injection smoke grid (2 workflows x 2 policies, fixed seeds)"
 WFS=target/release/wfs
-FAULTS_TMP=$(mktemp -d)
-trap 'rm -rf "$FAULTS_TMP"' EXIT
-"$WFS" gen montage 30 --seed 1 -o "$FAULTS_TMP/montage30.json" >/dev/null
-"$WFS" gen ligo 30 --seed 2 -o "$FAULTS_TMP/ligo30.json" >/dev/null
+CI_TMP=$(mktemp -d)
+trap 'rm -rf "$CI_TMP"' EXIT
+"$WFS" gen montage 30 --seed 1 -o "$CI_TMP/montage30.json" >/dev/null
+"$WFS" gen ligo 30 --seed 2 -o "$CI_TMP/ligo30.json" >/dev/null
 for wf in montage30 ligo30; do
   for pol in retry reschedule; do
     # --lint makes violations a non-zero exit: recovered plans must stay
     # invariant-clean in every epoch.
-    "$WFS" faults "$FAULTS_TMP/$wf.json" --budget 3.0 --policy "$pol" \
+    "$WFS" faults "$CI_TMP/$wf.json" --budget 3.0 --policy "$pol" \
       --mtbf 600 --boot-fail 0.1 --seed 7 --max-epochs 24 --lint >/dev/null
     echo "  faults $wf/$pol: lint-clean"
   done
 done
 
 echo "== trace round-trip smoke (wfs trace + faults --trace/--ledger)"
-"$WFS" trace "$FAULTS_TMP/montage30.json" --budget 2.0 --seed 3 --ledger --counters \
-  -o "$FAULTS_TMP/montage30.trace.json" | grep -q "reconciles  yes (exact)"
-python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$FAULTS_TMP/montage30.trace.json" \
-  2>/dev/null || test -s "$FAULTS_TMP/montage30.trace.json"
-"$WFS" faults "$FAULTS_TMP/ligo30.json" --budget 3.0 --mtbf 600 --boot-fail 0.1 \
-  --seed 7 --trace "$FAULTS_TMP/ligo30.trace.json" --ledger | grep -q "reconciles  yes (exact)"
-test -s "$FAULTS_TMP/ligo30.trace.json"
+# Plain grep, not `grep -q`: -q exits at the first match and the rest of
+# wfs's output (the --counters table) then hits a closed pipe.
+"$WFS" trace "$CI_TMP/montage30.json" --budget 2.0 --seed 3 --ledger --counters \
+  -o "$CI_TMP/montage30.trace.json" | grep "reconciles  yes (exact)" >/dev/null
+python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$CI_TMP/montage30.trace.json" \
+  2>/dev/null || test -s "$CI_TMP/montage30.trace.json"
+"$WFS" faults "$CI_TMP/ligo30.json" --budget 3.0 --mtbf 600 --boot-fail 0.1 \
+  --seed 7 --trace "$CI_TMP/ligo30.trace.json" --ledger | grep "reconciles  yes (exact)" >/dev/null
+test -s "$CI_TMP/ligo30.trace.json"
 echo "  trace exports written, ledgers reconcile exactly"
 
-echo "== quickbench smoke + zero-overhead gate (1 iteration vs pinned medians)"
-# Writes to a temp file (the pin is regenerated only by deliberate 9-iteration
-# runs) and gates the fast-path medians against BENCH_sched_time.json: the
-# median ratio across all cells must stay within 1.5x — a NoopSink that
-# stopped compiling away would shift every cell, which the gate catches even
-# at 1 iteration.
-cargo run --release -p wfs-bench --bin quickbench -- 1 \
-  --out "$FAULTS_TMP/bench-smoke.json" --gate BENCH_sched_time.json 2>&1 | tail -n 5
-test -s "$FAULTS_TMP/bench-smoke.json"
+echo "== perfbench contract tests + correctness smoke (one traced pass per workload, seed 0)"
+# Each pass checks every op's pinned output digest and the exact to_bits
+# ledger reconcile, so the verdict is the same on any host. perfbench exits
+# 0 even when a check fails; the last output line (JSON) carries the
+# verdict. Speed is not gated here: perfbench/steady.py judges runs against
+# BENCHMARK.json's bounds.
+cargo test --offline --release -q --manifest-path perfbench/Cargo.toml
+for w in plan-400 refine-60 execute-400; do
+  cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$w" --seed 0 --seconds 0 --trace 1 --out "$CI_TMP" | tail -n 1 |
+    python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+ok = r.get("correct") is True and r.get("failed") == 0
+print("  perfbench %s: correct=%s failed=%s/%s"
+      % (sys.argv[1], r.get("correct"), r.get("failed"), r.get("attempted")))
+sys.exit(0 if ok else 1)
+' "$w"
+done
 
 echo "CI OK"

@@ -15,11 +15,17 @@
 //!            [--trace FILE] [--ledger]
 //! wfs trace <workflow.json> --budget <dollars> [--alg NAME] [--seed N | --conservative | --mean]
 //!           [--platform FILE] [-o FILE] [--ledger] [--counters]
+//! wfs deadline <workflow.json> --deadline <secs> [--platform FILE]
 //! wfs platform [-o FILE]
+//! wfs help | --help | <command> --help
 //! ```
 //!
 //! Workflows, schedules and platforms are JSON files; `wfs platform` dumps
 //! the paper's Table II platform as a starting point for edits.
+//!
+//! Exit status: 0 on success, 2 on a usage error (the usage is printed),
+//! 1 when a file cannot be read or written, a model is invalid, or the run
+//! fails.
 
 use budget_sched::prelude::*;
 use std::process::ExitCode;
@@ -28,11 +34,15 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(CliError::Usage(e)) => {
             eprintln!("wfs: {e}");
             eprintln!();
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             ExitCode::from(2)
+        }
+        Err(CliError::Failed(e)) => {
+            eprintln!("wfs: {e}");
+            ExitCode::FAILURE
         }
     }
 }
@@ -53,10 +63,40 @@ const USAGE: &str = "usage:
             [--platform FILE] [-o FILE] [--ledger] [--counters]
   wfs deadline <workflow.json> --deadline <secs> [--platform FILE]
   wfs platform [-o FILE]
+  wfs help | --help | <command> --help";
 
-algorithms: MIN-MIN HEFT MIN-MINBUDG HEFTBUDG HEFTBUDG+ HEFTBUDG+INV BDT CG CG+";
+/// The usage text, ending with every name `--alg` accepts.
+fn usage() -> String {
+    let names: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
+    format!("{USAGE}\n\nalgorithms: {}", names.join(" "))
+}
 
-type CliResult = Result<(), String>;
+/// Why a command failed.
+enum CliError {
+    /// Missing or malformed arguments: exit 2 with the usage.
+    Usage(String),
+    /// An unreadable or invalid input, an unwritable output, or a failed
+    /// run: exit 1.
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Usage(msg)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(msg: &str) -> Self {
+        CliError::Usage(msg.to_string())
+    }
+}
+
+fn failed(e: impl std::fmt::Display) -> CliError {
+    CliError::Failed(e.to_string())
+}
+
+type CliResult = Result<(), CliError>;
 
 /// Fetch the value following a `--flag`.
 fn opt<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -71,14 +111,14 @@ fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("invalid {what}: `{s}`"))
 }
 
-fn read_file(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+fn read_file(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| failed(format!("cannot read {path}: {e}")))
 }
 
 fn emit(out: Option<&str>, content: &str) -> CliResult {
     match out {
         Some(path) => {
-            std::fs::write(path, content).map_err(|e| format!("cannot write {path}: {e}"))?;
+            std::fs::write(path, content).map_err(|e| failed(format!("cannot write {path}: {e}")))?;
             eprintln!("wrote {path}");
             Ok(())
         }
@@ -94,26 +134,34 @@ fn emit(out: Option<&str>, content: &str) -> CliResult {
 const DAX_REF_SPEED: f64 = 10.0;
 
 /// Load a workflow from `.json` (native) or `.dax`/`.xml` (Pegasus DAX).
-fn load_workflow(path: &str) -> Result<Workflow, String> {
+fn load_workflow(path: &str) -> Result<Workflow, CliError> {
     let content = read_file(path)?;
     if path.ends_with(".dax") || path.ends_with(".xml") {
         budget_sched::workflow::dax::from_dax(&content, DAX_REF_SPEED)
-            .map_err(|e| format!("bad DAX {path}: {e}"))
+            .map_err(|e| failed(format!("bad DAX {path}: {e}")))
     } else {
-        Workflow::from_json(&content).map_err(|e| format!("bad workflow {path}: {e}"))
+        Workflow::from_json(&content).map_err(|e| failed(format!("bad workflow {path}: {e}")))
     }
 }
 
-fn load_platform(args: &[String]) -> Result<Platform, String> {
-    match opt(args, "--platform") {
-        Some(path) => serde_json::from_str(&read_file(path)?)
-            .map_err(|e| format!("bad platform {path}: {e}")),
-        None => Ok(Platform::paper_default()),
+fn load_platform(args: &[String]) -> Result<Platform, CliError> {
+    let Some(path) = opt(args, "--platform") else {
+        return Ok(Platform::paper_default());
+    };
+    let platform: Platform = serde_json::from_str(&read_file(path)?)
+        .map_err(|e| failed(format!("bad platform {path}: {e}")))?;
+    if platform.category_count() == 0 {
+        return Err(failed(format!("bad platform {path}: no VM categories")));
     }
+    Ok(platform)
 }
 
 fn run(args: &[String]) -> CliResult {
     let cmd = args.first().ok_or("missing command")?;
+    if cmd == "help" || args.iter().any(|a| a == "--help") {
+        println!("{}", usage());
+        return Ok(());
+    }
     let rest = &args[1..];
     match cmd.as_str() {
         "gen" => cmd_gen(rest),
@@ -126,12 +174,12 @@ fn run(args: &[String]) -> CliResult {
         "trace" => cmd_trace(rest),
         "deadline" => cmd_deadline(rest),
         "platform" => emit(opt(rest, "-o"), &pretty(&Platform::paper_default())?),
-        other => Err(format!("unknown command `{other}`")),
+        other => Err(format!("unknown command `{other}`").into()),
     }
 }
 
-fn pretty<T: serde::Serialize>(v: &T) -> Result<String, String> {
-    serde_json::to_string_pretty(v).map_err(|e| e.to_string())
+fn pretty<T: serde::Serialize>(v: &T) -> Result<String, CliError> {
+    serde_json::to_string_pretty(v).map_err(failed)
 }
 
 fn cmd_gen(args: &[String]) -> CliResult {
@@ -178,7 +226,7 @@ fn cmd_schedule(args: &[String]) -> CliResult {
     let alg: Algorithm = parse(opt(args, "--alg").ok_or("schedule: missing --alg")?, "algorithm")?;
     let budget: f64 = parse(opt(args, "--budget").ok_or("schedule: missing --budget")?, "budget")?;
     if !budget.is_finite() || budget < 0.0 {
-        return Err(format!("budget must be a finite non-negative amount, got {budget}"));
+        return Err(format!("budget must be a finite non-negative amount, got {budget}").into());
     }
     let platform = load_platform(args)?;
     let t0 = std::time::Instant::now();
@@ -195,7 +243,7 @@ fn cmd_simulate(args: &[String]) -> CliResult {
     let wf = load_workflow(args.first().ok_or("simulate: missing workflow file")?)?;
     let sched: Schedule =
         serde_json::from_str(&read_file(args.get(1).ok_or("simulate: missing schedule file")?)?)
-            .map_err(|e| format!("bad schedule: {e}"))?;
+            .map_err(|e| failed(format!("bad schedule: {e}")))?;
     let platform = load_platform(args)?;
     let cfg = if has_flag(args, "--conservative") {
         SimConfig::planning()
@@ -205,7 +253,7 @@ fn cmd_simulate(args: &[String]) -> CliResult {
         let seed: u64 = opt(args, "--seed").map_or(Ok(0), |s| parse(s, "seed"))?;
         SimConfig::stochastic(seed)
     };
-    let r = simulate(&wf, &platform, &sched, &cfg).map_err(|e| e.to_string())?;
+    let r = simulate(&wf, &platform, &sched, &cfg).map_err(failed)?;
     println!("makespan   {:.1} s", r.makespan);
     println!("vm cost    ${:.4}", r.vm_cost);
     println!("dc cost    ${:.4}", r.datacenter_cost);
@@ -223,7 +271,7 @@ fn cmd_simulate(args: &[String]) -> CliResult {
             &r,
             budget_sched::simulator::svg::SvgOptions::default(),
         );
-        std::fs::write(path, svg).map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, svg).map_err(|e| failed(format!("cannot write {path}: {e}")))?;
         eprintln!("wrote {path}");
     }
     Ok(())
@@ -238,13 +286,13 @@ fn cmd_deadline(args: &[String]) -> CliResult {
     match min_budget_for_deadline(&wf, &platform, d) {
         Some((budget, sched)) => {
             let r = simulate(&wf, &platform, &sched, &SimConfig::planning())
-                .map_err(|e| e.to_string())?;
+                .map_err(failed)?;
             println!("min budget  ${budget:.4}");
             println!("makespan    {:.1} s (deadline {d:.1} s)", r.makespan);
             println!("VMs         {}", sched.used_vm_count());
             Ok(())
         }
-        None => Err(format!("deadline {d}s is unreachable at any budget")),
+        None => Err(failed(format!("deadline {d}s is unreachable at any budget"))),
     }
 }
 
@@ -258,7 +306,7 @@ fn cmd_trace(args: &[String]) -> CliResult {
     let wf = load_workflow(wf_path)?;
     let budget: f64 = parse(opt(args, "--budget").ok_or("trace: missing --budget")?, "budget")?;
     if !budget.is_finite() || budget < 0.0 {
-        return Err(format!("budget must be a finite non-negative amount, got {budget}"));
+        return Err(format!("budget must be a finite non-negative amount, got {budget}").into());
     }
     let alg: Algorithm =
         opt(args, "--alg").map_or(Ok(Algorithm::HeftBudg), |s| parse(s, "algorithm"))?;
@@ -275,7 +323,7 @@ fn cmd_trace(args: &[String]) -> CliResult {
     let mut rec = RecordingSink::new();
     let sched = alg.run_observed(&wf, &platform, budget, &mut rec);
     let report = simulate_observed(&wf, &platform, &sched, &cfg, &mut rec)
-        .map_err(|e| e.to_string())?;
+        .map_err(failed)?;
 
     let trace = ChromeTrace::from_events(&rec.events);
     let out_path = match opt(args, "-o") {
@@ -283,7 +331,7 @@ fn cmd_trace(args: &[String]) -> CliResult {
         None => default_trace_path(wf_path),
     };
     std::fs::write(&out_path, trace.to_json())
-        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
+        .map_err(|e| failed(format!("cannot write {out_path}: {e}")))?;
     eprintln!("wrote {out_path}");
 
     println!("algorithm  {alg}");
@@ -326,7 +374,7 @@ fn cmd_faults(args: &[String]) -> CliResult {
     let wf = load_workflow(args.first().ok_or("faults: missing workflow file")?)?;
     let budget: f64 = parse(opt(args, "--budget").ok_or("faults: missing --budget")?, "budget")?;
     if !budget.is_finite() || budget < 0.0 {
-        return Err(format!("budget must be a finite non-negative amount, got {budget}"));
+        return Err(format!("budget must be a finite non-negative amount, got {budget}").into());
     }
     let alg: Algorithm = opt(args, "--alg").map_or(Ok(Algorithm::HeftBudg), |s| parse(s, "algorithm"))?;
     let policy: RecoveryPolicy =
@@ -349,7 +397,7 @@ fn cmd_faults(args: &[String]) -> CliResult {
     if let Some(spec) = opt(args, "--degrade") {
         let parts: Vec<&str> = spec.split(':').collect();
         if parts.len() != 3 {
-            return Err(format!("--degrade wants FACTOR:GAP:DURATION, got `{spec}`"));
+            return Err(format!("--degrade wants FACTOR:GAP:DURATION, got `{spec}`").into());
         }
         faults = faults.with_degradation(DegradationModel::new(
             parse(parts[0], "degrade factor")?,
@@ -377,7 +425,7 @@ fn cmd_faults(args: &[String]) -> CliResult {
     } else {
         run_with_recovery(&wf, &platform, &cfg)
     }
-    .map_err(|e| e.to_string())?;
+    .map_err(failed)?;
     println!("{:<6} {:>6} {:>8} {:>10} {:>10} {:>8} {:>6} {:>6}",
         "epoch", "tasks", "durable", "cost $", "budget $", "span s", "crash", "retry");
     for e in &out.epochs {
@@ -403,7 +451,7 @@ fn cmd_faults(args: &[String]) -> CliResult {
     }
     if let Some(tp) = trace_path {
         let trace = ChromeTrace::from_events(&rec.events);
-        std::fs::write(tp, trace.to_json()).map_err(|e| format!("cannot write {tp}: {e}"))?;
+        std::fs::write(tp, trace.to_json()).map_err(|e| failed(format!("cannot write {tp}: {e}")))?;
         eprintln!("wrote {tp}");
     }
     if want_ledger {
@@ -420,7 +468,7 @@ fn cmd_faults(args: &[String]) -> CliResult {
         for v in &out.lint_violations {
             eprintln!("  {v}");
         }
-        return Err(format!("{} lint violation(s)", out.lint_violations.len()));
+        return Err(failed(format!("{} lint violation(s)", out.lint_violations.len())));
     }
     Ok(())
 }
@@ -445,7 +493,7 @@ fn cmd_sweep(args: &[String]) -> CliResult {
         for &alg in &algs {
             let sched = alg.run(&wf, &platform, b);
             let r = simulate(&wf, &platform, &sched, &SimConfig::planning())
-                .map_err(|e| e.to_string())?;
+                .map_err(failed)?;
             println!(
                 "{:<14} {:>10.3} {:>9.0}s {:>10.4} {:>5}",
                 alg.name(),

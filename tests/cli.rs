@@ -5,6 +5,7 @@
 // helper fns in integration-test files, so allow at file level.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use budget_sched::prelude::{Algorithm, CategoryId, Platform, Schedule, Workflow};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -122,6 +123,63 @@ fn bad_usage_exits_nonzero_with_usage() {
 
     let out = wfs(&["gen", "montage", "30", "--alg"]); // stray flag ok, still generates
     assert!(out.status.success());
+}
+
+#[test]
+fn help_prints_usage_with_every_algorithm_and_exits_zero() {
+    let calls: [&[&str]; 4] =
+        [&["--help"], &["help"], &["schedule", "--help"], &["faults", "x.json", "--help"]];
+    for args in calls {
+        let out = wfs(args);
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("usage:"), "{args:?}: {text}");
+        let line = text.lines().find(|l| l.starts_with("algorithms:")).expect("algorithms line");
+        let listed: Vec<&str> = line.split_whitespace().skip(1).collect();
+        let all: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
+        assert_eq!(listed, all);
+    }
+}
+
+#[test]
+fn simulate_rejects_a_vm_category_the_platform_lacks() {
+    let wf_path = tmp("m12-badcat.json");
+    assert!(wfs(&["gen", "montage", "12", "-o", wf_path.to_str().unwrap()]).status.success());
+    let wf = Workflow::from_json(&std::fs::read_to_string(&wf_path).unwrap()).unwrap();
+    let mut sched = Schedule::new(wf.task_count());
+    let vm = sched.add_vm(CategoryId(99));
+    for &t in wf.topological_order() {
+        sched.assign(t, vm);
+    }
+    let sched_path = tmp("m12-badcat-sched.json");
+    std::fs::write(&sched_path, serde_json::to_string(&sched).unwrap()).unwrap();
+    let out = wfs(&["simulate", wf_path.to_str().unwrap(), sched_path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("category cat99"), "{err}");
+}
+
+#[test]
+fn platform_without_categories_is_rejected() {
+    let json = serde_json::to_string_pretty(&Platform::paper_default()).unwrap();
+    let start = json.find("\"categories\": [").unwrap();
+    let end = start + json[start..].find(']').unwrap();
+    let empty = format!("{}\"categories\": []{}", &json[..start], &json[end + 1..]);
+    let pfile = tmp("platform-empty.json");
+    std::fs::write(&pfile, empty).unwrap();
+    let wf = tmp("m11-empty-platform.json");
+    assert!(wfs(&["gen", "montage", "11", "-o", wf.to_str().unwrap()]).status.success());
+    let out = wfs(&[
+        "sweep",
+        wf.to_str().unwrap(),
+        "--budgets",
+        "0.5",
+        "--platform",
+        pfile.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("no VM categories"), "{err}");
 }
 
 #[test]
