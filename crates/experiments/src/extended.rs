@@ -4,8 +4,9 @@
 
 use crate::common::{results_dir, stats_of, write_text};
 use std::fmt::Write as _;
+use wfs_observe::NoopSink;
 use wfs_platform::Platform;
-use wfs_scheduler::{heft_budg_with_pot, run_online, Algorithm, OnlineConfig, Pot};
+use wfs_scheduler::{heft_budg_carry, run_online, Algorithm, OnlineConfig, Pot};
 use wfs_simulator::{simulate, SimConfig};
 use wfs_workflow::gen::{layered_random, BenchmarkType, GenConfig, LayeredParams};
 
@@ -74,7 +75,7 @@ fn pot_ablation(platform: &Platform) -> String {
     let wf = BenchmarkType::Montage.generate(GenConfig::new(90, 1));
     let budget = crate::common::min_cost_floor(&wf, platform) * 2.0;
     let makespan = |pot| {
-        let (sched, _) = heft_budg_with_pot(&wf, platform, budget, pot);
+        let (sched, _) = heft_budg_carry(&wf, platform, budget, pot, &mut NoopSink);
         simulate(&wf, platform, &sched, &SimConfig::planning()).expect("valid schedule").makespan
     };
     format!(
@@ -107,7 +108,7 @@ pub fn robustness(instances: u64, reps: u64) {
                 let wf = ty.generate(GenConfig::new(90, inst));
                 let floor = crate::common::min_cost_floor(&wf, &platform);
                 let budget = floor * 2.0;
-                let (sched, _) = wfs_scheduler::heft_budg(&wf, &platform, budget);
+                let (sched, _) = wfs_scheduler::heft_budg(&wf, &platform, budget, &mut NoopSink);
                 for seed in 0..reps {
                     let model = if heavy {
                         WeightModel::HeavyTail { seed }
@@ -320,7 +321,8 @@ pub fn counters_study() {
         "## Extended experiment — planner work counters per algorithm\n\n\
          One 90-task instance per benchmark, budget = 2 x min_cost; counters are\n\
          derived from the recorded decision-event stream of a single traced\n\
-         plan + stochastic execution (seed 1).\n\n\
+         plan + stochastic execution (seed 1). BDT, CG and CG+ emit no decision\n\
+         events and are left out.\n\n\
          | workflow | algorithm | cand evals | sweeps | cache hit/miss | placed | new VMs | refine trials | moves | VM boots | transfers |\n\
          |---|---|---|---|---|---|---|---|---|---|---|\n",
     );
@@ -328,14 +330,10 @@ pub fn counters_study() {
         let wf = ty.generate(GenConfig::new(90, 1));
         let floor = crate::common::min_cost_floor(&wf, &platform);
         let budget = floor * 2.0;
-        for alg in [
-            Algorithm::MinMin,
-            Algorithm::Heft,
-            Algorithm::MinMinBudg,
-            Algorithm::HeftBudg,
-            Algorithm::HeftBudgPlus,
-            Algorithm::HeftBudgPlusInv,
-        ] {
+        for alg in Algorithm::ALL {
+            if matches!(alg, Algorithm::Bdt | Algorithm::Cg | Algorithm::CgPlus) {
+                continue; // untraced: their rows would read 0
+            }
             let mut rec = RecordingSink::new();
             let sched = alg.run_observed(&wf, &platform, budget, &mut rec);
             let _ = simulate_observed(&wf, &platform, &sched, &SimConfig::stochastic(1), &mut rec)

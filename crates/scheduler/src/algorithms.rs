@@ -3,9 +3,10 @@
 
 use crate::bdt::bdt;
 use crate::cg::{cg, cg_plus};
-use crate::heft::{heft_budg_observed, heft_observed};
-use crate::minmin::{min_min_budg_observed, min_min_observed};
-use crate::refine::{heft_budg_plus_observed, RefineOrder};
+use crate::heft::{heft, heft_budg};
+use crate::maxmin::{max_min, max_min_budg, sufferage, sufferage_budg};
+use crate::minmin::{min_min, min_min_budg};
+use crate::refine::{heft_budg_plus, RefineOrder};
 use wfs_observe::{Event as Obs, EventSink, NoopSink};
 use wfs_platform::Platform;
 use wfs_simulator::Schedule;
@@ -121,11 +122,11 @@ impl Algorithm {
         self.run_observed(wf, platform, budget, &mut NoopSink)
     }
 
-    /// [`Self::run`] with an event sink. The core algorithms (MIN-MIN,
-    /// HEFT, MIN-MINBUDG, HEFTBUDG, HEFTBUDG+, HEFTBUDG+INV) emit their
-    /// full decision stream; the remaining competitors fall back to
-    /// untraced scheduling after the `PlanStarted` header. Either way the
-    /// schedule is identical to [`Self::run`]'s.
+    /// [`Self::run`] with an event sink. The ten list heuristics (MIN-MIN,
+    /// HEFT, MIN-MINBUDG, HEFTBUDG, HEFTBUDG+, HEFTBUDG+INV, MAX-MIN,
+    /// MAX-MINBUDG, SUFFERAGE, SUFFERAGEBUDG) emit their full decision
+    /// stream; BDT, CG and CG+ schedule untraced after the `PlanStarted`
+    /// header. Either way the schedule is identical to [`Self::run`]'s.
     pub fn run_observed<S: EventSink>(
         self,
         wf: &Workflow,
@@ -141,23 +142,23 @@ impl Algorithm {
             });
         }
         let schedule = match self {
-            Algorithm::MinMin => min_min_observed(wf, platform, sink),
-            Algorithm::Heft => heft_observed(wf, platform, sink),
-            Algorithm::MinMinBudg => min_min_budg_observed(wf, platform, budget, sink),
-            Algorithm::HeftBudg => heft_budg_observed(wf, platform, budget, sink).0,
+            Algorithm::MinMin => min_min(wf, platform, sink),
+            Algorithm::Heft => heft(wf, platform, sink),
+            Algorithm::MinMinBudg => min_min_budg(wf, platform, budget, sink),
+            Algorithm::HeftBudg => heft_budg(wf, platform, budget, sink).0,
             Algorithm::HeftBudgPlus => {
-                heft_budg_plus_observed(wf, platform, budget, RefineOrder::Forward, sink)
+                heft_budg_plus(wf, platform, budget, RefineOrder::Forward, sink)
             }
             Algorithm::HeftBudgPlusInv => {
-                heft_budg_plus_observed(wf, platform, budget, RefineOrder::Reverse, sink)
+                heft_budg_plus(wf, platform, budget, RefineOrder::Reverse, sink)
             }
             Algorithm::Bdt => bdt(wf, platform, budget),
             Algorithm::Cg => cg(wf, platform, budget),
             Algorithm::CgPlus => cg_plus(wf, platform, budget),
-            Algorithm::MaxMin => crate::max_min(wf, platform),
-            Algorithm::MaxMinBudg => crate::max_min_budg(wf, platform, budget),
-            Algorithm::Sufferage => crate::sufferage(wf, platform),
-            Algorithm::SufferageBudg => crate::sufferage_budg(wf, platform, budget),
+            Algorithm::MaxMin => max_min(wf, platform, sink),
+            Algorithm::MaxMinBudg => max_min_budg(wf, platform, budget, sink),
+            Algorithm::Sufferage => sufferage(wf, platform, sink),
+            Algorithm::SufferageBudg => sufferage_budg(wf, platform, budget, sink),
         };
         #[cfg(debug_assertions)]
         {

@@ -113,6 +113,7 @@ fn candidate_key(e: &HostEval) -> (u8, u32) {
 #[allow(clippy::float_cmp)] // exact-constant assertions are intentional in tests
 mod tests {
     use super::*;
+    use wfs_observe::NoopSink;
     use wfs_simulator::{simulate, SimConfig};
     use wfs_workflow::gen::{cybershake, montage, GenConfig};
 
@@ -146,7 +147,7 @@ mod tests {
         let budget = 50.0;
         let cfg = SimConfig::planning();
         let b = simulate(&wf, &p, &bdt(&wf, &p, budget), &cfg).unwrap();
-        let (hs, _) = crate::heft::heft_budg(&wf, &p, budget);
+        let (hs, _) = crate::heft::heft_budg(&wf, &p, budget, &mut NoopSink);
         let h = simulate(&wf, &p, &hs, &cfg).unwrap();
         assert!(b.makespan <= h.makespan * 1.5, "bdt {} vs heftbudg {}", b.makespan, h.makespan);
     }
@@ -160,11 +161,11 @@ mod tests {
         let cfg = SimConfig::planning();
         // Pick a budget HEFTBUDG can hold.
         let budget = {
-            let (hs, _) = crate::heft::heft_budg(&wf, &p, 2.0);
+            let (hs, _) = crate::heft::heft_budg(&wf, &p, 2.0, &mut NoopSink);
             simulate(&wf, &p, &hs, &cfg).unwrap().total_cost.max(1.0) * 1.05
         };
         let b = simulate(&wf, &p, &bdt(&wf, &p, budget), &cfg).unwrap();
-        let (hs, _) = crate::heft::heft_budg(&wf, &p, budget);
+        let (hs, _) = crate::heft::heft_budg(&wf, &p, budget, &mut NoopSink);
         let h = simulate(&wf, &p, &hs, &cfg).unwrap();
         assert!(h.total_cost <= budget * 1.05, "heftbudg holds the budget");
         // BDT spends at least as much; typically more.

@@ -4,7 +4,7 @@
 //! the full selection for every ready task on every round.
 
 use crate::plan::{Candidate, HostEval, PlanState};
-use wfs_observe::{Event as Obs, EventSink};
+use wfs_observe::{Event as Obs, EventSink, NoopSink};
 use wfs_simulator::VmId;
 use wfs_workflow::{OrdF64, TaskId};
 
@@ -120,16 +120,11 @@ pub(crate) fn select_best(evals: &[HostEval], limit: f64) -> HostEval {
 ///   candidate (the schedule must still complete; the paper notes that
 ///   `getBestHost` then "will not return the host with the smallest EFT").
 ///
-/// `limit = ∞` recovers the baseline MIN-MIN/HEFT behaviour.
-pub fn get_best_host(plan: &PlanState<'_>, t: TaskId, limit: f64) -> HostEval {
-    plan.with_candidate_evals(t, |evals| select_best(evals, limit))
-}
-
-/// [`get_best_host`] with an event sink: every candidate considered is
-/// reported as an [`Obs::CandidateEvaluated`] (with its EFT, cost and
-/// whether it fit the limit) before the selection is returned. With
-/// `NoopSink` this is exactly [`get_best_host`].
-pub fn get_best_host_observed<S: EventSink>(
+/// `limit = ∞` recovers the baseline MIN-MIN/HEFT behaviour. Every
+/// candidate considered is reported to `sink` as an
+/// [`Obs::CandidateEvaluated`] (with its EFT, cost and whether it fit the
+/// limit) before the selection is returned.
+pub fn get_best_host<S: EventSink>(
     plan: &PlanState<'_>,
     t: TaskId,
     limit: f64,
@@ -212,7 +207,7 @@ impl BestHostCache {
     }
 
     /// `(hits, misses)` accumulated so far — flushed as counter events by
-    /// the observed schedulers.
+    /// the ready-set round loop.
     pub(crate) fn hit_miss(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
@@ -244,7 +239,7 @@ impl BestHostCache {
         last_commit: Option<VmId>,
     ) -> HostEval {
         if plan.is_naive() {
-            return get_best_host(plan, t, limit);
+            return get_best_host(plan, t, limit, &mut NoopSink);
         }
         let vm_count = plan.schedule().vm_count();
         if let (Some(entry), Some(w)) = (&mut self.entries[t.index()], last_commit) {
@@ -311,7 +306,7 @@ mod tests {
         let wf = chain(1, 100.0, 0.0);
         let p = p2();
         let plan = PlanState::new(&wf, &p);
-        let best = get_best_host(&plan, wfs_workflow::TaskId(0), f64::INFINITY);
+        let best = get_best_host(&plan, wfs_workflow::TaskId(0), f64::INFINITY, &mut NoopSink);
         // fast: 25 s at $0.01 = $0.25; slow: 100 s at $0.001 = $0.10.
         assert_eq!(best.candidate, Candidate::New(CategoryId(1)));
         assert!((best.eft - 25.0).abs() < 1e-9);
@@ -323,7 +318,7 @@ mod tests {
         let p = p2();
         let plan = PlanState::new(&wf, &p);
         // $0.25 needed for fast; give only $0.15.
-        let best = get_best_host(&plan, wfs_workflow::TaskId(0), 0.15);
+        let best = get_best_host(&plan, wfs_workflow::TaskId(0), 0.15, &mut NoopSink);
         assert_eq!(best.candidate, Candidate::New(CategoryId(0)));
         assert!((best.cost - 0.10).abs() < 1e-9);
     }
@@ -333,7 +328,7 @@ mod tests {
         let wf = chain(1, 100.0, 0.0);
         let p = p2();
         let plan = PlanState::new(&wf, &p);
-        let best = get_best_host(&plan, wfs_workflow::TaskId(0), 0.0);
+        let best = get_best_host(&plan, wfs_workflow::TaskId(0), 0.0, &mut NoopSink);
         // Nothing is affordable; still returns the cheapest option.
         assert_eq!(best.candidate, Candidate::New(CategoryId(0)));
     }
@@ -343,7 +338,7 @@ mod tests {
         let wf = chain(1, 100.0, 0.0);
         let p = p2();
         let plan = PlanState::new(&wf, &p);
-        let best = get_best_host(&plan, wfs_workflow::TaskId(0), 0.25);
+        let best = get_best_host(&plan, wfs_workflow::TaskId(0), 0.25, &mut NoopSink);
         assert_eq!(best.candidate, Candidate::New(CategoryId(1)), "exact budget must qualify");
     }
 
@@ -359,7 +354,7 @@ mod tests {
         plan.commit(wfs_workflow::TaskId(0), Candidate::New(CategoryId(0)));
         // Chain: task 1 on the used VM starts at 100 (no transfer) vs a new
         // VM also possible; used wins on EFT (no data transfer + no boot).
-        let best = get_best_host(&plan, wfs_workflow::TaskId(1), f64::INFINITY);
+        let best = get_best_host(&plan, wfs_workflow::TaskId(1), f64::INFINITY, &mut NoopSink);
         assert!(matches!(best.candidate, Candidate::Used(_)));
     }
 
@@ -392,7 +387,7 @@ mod tests {
         for &t in wf.topological_order() {
             for limit in [0.0, 0.05, 0.2, 1.0, f64::INFINITY] {
                 let cached = cache.best(&plan, t, limit, last);
-                let fresh = get_best_host(&plan, t, limit);
+                let fresh = get_best_host(&plan, t, limit, &mut NoopSink);
                 assert_eq!(cached, fresh, "task {t:?} limit {limit}");
             }
             let best = cache.best(&plan, t, 0.2, last);

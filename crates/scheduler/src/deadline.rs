@@ -9,6 +9,7 @@
 //! pair, reporting which constraint fails.
 
 use crate::heft::heft_budg;
+use wfs_observe::NoopSink;
 use wfs_platform::Platform;
 use wfs_simulator::{simulate, Schedule, SimConfig, SimulationReport};
 use wfs_workflow::Workflow;
@@ -50,7 +51,7 @@ pub fn plan_bicriteria(
     if budget < floor {
         return Bicriteria::BudgetInfeasible { min_cost: floor };
     }
-    let (schedule, _) = heft_budg(wf, platform, budget);
+    let (schedule, _) = heft_budg(wf, platform, budget, &mut NoopSink);
     #[allow(clippy::expect_used)] // HEFTBUDG emits a complete, validated schedule
     let planned = simulate(wf, platform, &schedule, &cfg).expect("HEFTBUDG schedule is valid");
     if planned.makespan <= deadline && planned.total_cost <= budget {
@@ -80,7 +81,7 @@ pub fn min_budget_for_deadline(
     let cfg = SimConfig::planning();
     #[allow(clippy::expect_used)] // HEFTBUDG emits a complete, validated schedule
     let makespan_at = |b: f64| -> (f64, Schedule) {
-        let (s, _) = heft_budg(wf, platform, b);
+        let (s, _) = heft_budg(wf, platform, b, &mut NoopSink);
         let r = simulate(wf, platform, &s, &cfg).expect("valid");
         (r.makespan, s)
     };
@@ -130,7 +131,7 @@ mod tests {
     }
 
     fn baseline_makespan(wf: &Workflow, p: &Platform) -> f64 {
-        let (s, _) = heft_budg(wf, p, 1e9);
+        let (s, _) = heft_budg(wf, p, 1e9, &mut NoopSink);
         simulate(wf, p, &s, &SimConfig::planning()).unwrap().makespan
     }
 

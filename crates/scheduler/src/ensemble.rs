@@ -11,6 +11,7 @@
 //! and is then scheduled internally with HEFTBUDG (Alg. 1–4).
 
 use crate::heft::heft_budg;
+use wfs_observe::NoopSink;
 use wfs_platform::Platform;
 use wfs_simulator::{simulate, Schedule, SimConfig};
 use wfs_workflow::Workflow;
@@ -104,7 +105,7 @@ pub fn schedule_ensemble(
             continue;
         }
         let wf = &members[idx].workflow;
-        let (schedule, _) = heft_budg(wf, platform, chunk);
+        let (schedule, _) = heft_budg(wf, platform, chunk, &mut NoopSink);
         #[allow(clippy::expect_used)] // HEFTBUDG emits a complete, validated schedule
         let planned = simulate(wf, platform, &schedule, &cfg).expect("HEFTBUDG is valid");
         if planned.total_cost > remaining {

@@ -5,10 +5,10 @@
 //! the ordering but restricts each task's host choice to those respecting
 //! its budget share plus the pot (Algorithm 2).
 
-use crate::best_host::get_best_host_observed;
+use crate::best_host::get_best_host;
 use crate::budget::{divide_budget, Pot};
 use crate::plan::{Candidate, PlanState};
-use wfs_observe::{Event as Obs, EventSink, NoopSink};
+use wfs_observe::{Event as Obs, EventSink};
 use wfs_platform::Platform;
 use wfs_simulator::Schedule;
 use wfs_workflow::analysis::{heft_order, WeightMode};
@@ -21,27 +21,18 @@ pub fn priority_list(wf: &Workflow, platform: &Platform) -> Vec<TaskId> {
     heft_order(wf, WeightMode::Conservative, platform.mean_speed(), platform.datacenter.bandwidth)
 }
 
-/// Run HEFT (unbounded budget) — the baseline of §V-B.
-pub fn heft(wf: &Workflow, platform: &Platform) -> Schedule {
-    heft_inner(wf, platform, None, Pot::new(), &mut NoopSink).0
-}
-
-/// [`heft`] with an event sink (no budget events: the baseline has no
-/// shares, so limits are infinite and the pot stays empty).
-pub fn heft_observed<S: EventSink>(wf: &Workflow, platform: &Platform, sink: &mut S) -> Schedule {
+/// Run HEFT (unbounded budget) — the baseline of §V-B. No budget events:
+/// the baseline has no shares, so limits are infinite and the pot stays
+/// empty.
+pub fn heft<S: EventSink>(wf: &Workflow, platform: &Platform, sink: &mut S) -> Schedule {
     heft_inner(wf, platform, None, Pot::new(), sink).0
 }
 
 /// Run HEFTBUDG with initial budget `b_ini` (Algorithm 4). Returns the
 /// schedule and the priority list (the refinement algorithms reuse it).
-pub fn heft_budg(wf: &Workflow, platform: &Platform, b_ini: f64) -> (Schedule, Vec<TaskId>) {
-    heft_budg_observed(wf, platform, b_ini, &mut NoopSink)
-}
-
-/// [`heft_budg`] with an event sink: the budget division, every task's
-/// rank, share, candidate evaluations and final placement (with pot
-/// before/after) are reported to `sink`.
-pub fn heft_budg_observed<S: EventSink>(
+/// The budget division, every task's rank, share, candidate evaluations
+/// and final placement (with pot before/after) are reported to `sink`.
+pub fn heft_budg<S: EventSink>(
     wf: &Workflow,
     platform: &Platform,
     b_ini: f64,
@@ -51,27 +42,11 @@ pub fn heft_budg_observed<S: EventSink>(
     (s, list)
 }
 
-/// HEFTBUDG with an explicit pot configuration (ablation hook).
-pub fn heft_budg_with_pot(
-    wf: &Workflow,
-    platform: &Platform,
-    b_ini: f64,
-    pot: Pot,
-) -> (Schedule, Vec<TaskId>) {
-    let (s, list, _) = heft_inner(wf, platform, Some(b_ini), pot, &mut NoopSink);
-    (s, list)
-}
-
-/// HEFTBUDG that also returns the final [`Pot`], so a caller can carry the
-/// unspent leftovers into a later planning round (the recovery layer
-/// re-plans the residual DAG per epoch and threads the pot through).
-pub fn heft_budg_carry(wf: &Workflow, platform: &Platform, b_ini: f64, pot: Pot) -> (Schedule, Pot) {
-    heft_budg_carry_observed(wf, platform, b_ini, pot, &mut NoopSink)
-}
-
-/// [`heft_budg_carry`] with an event sink (the recovery layer's per-epoch
-/// re-planning uses this so epoch plans are observable too).
-pub fn heft_budg_carry_observed<S: EventSink>(
+/// HEFTBUDG starting from `pot` that also returns the final [`Pot`], so a
+/// caller can carry the unspent leftovers into a later planning round (the
+/// recovery layer re-plans the residual DAG per epoch and threads the pot
+/// through), or plan with the pot switched off ([`Pot::disabled`]).
+pub fn heft_budg_carry<S: EventSink>(
     wf: &Workflow,
     platform: &Platform,
     b_ini: f64,
@@ -113,7 +88,7 @@ fn heft_inner<S: EventSink>(
                 sink.record(&Obs::TaskShare { task: t.0, share: s.share(t) });
             }
         }
-        let eval = get_best_host_observed(&plan, t, limit, sink);
+        let eval = get_best_host(&plan, t, limit, sink);
         let pot_before = pot.available();
         let vm = plan.commit(t, eval.candidate);
         if let Some(s) = &split {
@@ -145,6 +120,7 @@ fn heft_inner<S: EventSink>(
 #[allow(clippy::float_cmp)] // exact-constant assertions are intentional in tests
 mod tests {
     use super::*;
+    use wfs_observe::NoopSink;
     use wfs_simulator::{simulate, SimConfig};
     use wfs_workflow::gen::{cybershake, ligo, montage, GenConfig};
 
@@ -157,7 +133,7 @@ mod tests {
         for n in [30, 60, 90] {
             let wf = montage(GenConfig::new(n, 1));
             let p = paper();
-            let s = heft(&wf, &p);
+            let s = heft(&wf, &p, &mut NoopSink);
             s.validate(&wf).unwrap();
         }
     }
@@ -181,8 +157,8 @@ mod tests {
         // Paper §V-B: with infinite budget HEFT == HEFTBUDG.
         let wf = ligo(GenConfig::new(60, 2));
         let p = paper();
-        let base = heft(&wf, &p);
-        let (budg, _) = heft_budg(&wf, &p, 1e9);
+        let base = heft(&wf, &p, &mut NoopSink);
+        let (budg, _) = heft_budg(&wf, &p, 1e9, &mut NoopSink);
         assert_eq!(base, budg);
     }
 
@@ -191,7 +167,7 @@ mod tests {
         let wf = montage(GenConfig::new(60, 1));
         let p = paper();
         for budget in [0.5, 1.0, 2.0, 5.0] {
-            let (s, _) = heft_budg(&wf, &p, budget);
+            let (s, _) = heft_budg(&wf, &p, budget, &mut NoopSink);
             s.validate(&wf).unwrap();
             let r = simulate(&wf, &p, &s, &SimConfig::planning()).unwrap();
             // Conservative planning keeps the planned cost within budget
@@ -211,7 +187,7 @@ mod tests {
         let p = paper();
         let cfg = SimConfig::planning();
         let mk = |b: f64| {
-            let (s, _) = heft_budg(&wf, &p, b);
+            let (s, _) = heft_budg(&wf, &p, b, &mut NoopSink);
             simulate(&wf, &p, &s, &cfg).unwrap().makespan
         };
         let tight = mk(1.0);
@@ -226,7 +202,7 @@ mod tests {
         let wf = montage(GenConfig::new(30, 1));
         let p = paper();
         let budget = 1.5;
-        let (s, _) = heft_budg(&wf, &p, budget);
+        let (s, _) = heft_budg(&wf, &p, budget, &mut NoopSink);
         let ok = (0..25)
             .filter(|&seed| {
                 simulate(&wf, &p, &s, &SimConfig::stochastic(seed))
@@ -241,6 +217,6 @@ mod tests {
     fn deterministic() {
         let wf = ligo(GenConfig::new(90, 4));
         let p = paper();
-        assert_eq!(heft_budg(&wf, &p, 3.0), heft_budg(&wf, &p, 3.0));
+        assert_eq!(heft_budg(&wf, &p, 3.0, &mut NoopSink), heft_budg(&wf, &p, 3.0, &mut NoopSink));
     }
 }

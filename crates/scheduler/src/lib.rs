@@ -18,8 +18,14 @@
 //!
 //! The [`Algorithm`] enum exposes all of them uniformly.
 //!
+//! Every list heuristic takes an [`EventSink`](wfs_observe::EventSink):
+//! pass a [`NoopSink`](wfs_observe::NoopSink) to plan untraced (the
+//! emissions compile away), or a recording sink to capture each budget
+//! split, share and placement. BDT, CG and CG+ emit nothing and take none.
+//!
 //! ```
-//! use wfs_scheduler::{heft_budg, Algorithm};
+//! use wfs_observe::{Counters, NoopSink, RecordingSink};
+//! use wfs_scheduler::heft_budg;
 //! use wfs_platform::Platform;
 //! use wfs_simulator::{simulate, SimConfig};
 //! use wfs_workflow::gen::{montage, GenConfig};
@@ -27,9 +33,15 @@
 //! let wf = montage(GenConfig::new(30, 1));
 //! let platform = Platform::paper_default();
 //! let budget = 2.0; // dollars
-//! let (schedule, _priority) = heft_budg(&wf, &platform, budget);
+//! let (schedule, _priority) = heft_budg(&wf, &platform, budget, &mut NoopSink);
 //! let planned = simulate(&wf, &platform, &schedule, &SimConfig::planning()).unwrap();
 //! assert!(planned.total_cost <= budget * 1.05);
+//!
+//! // The same call with a recording sink returns the same schedule.
+//! let mut rec = RecordingSink::new();
+//! let (traced, _) = heft_budg(&wf, &platform, budget, &mut rec);
+//! assert_eq!(traced, schedule);
+//! assert_eq!(Counters::from_events(&rec.events).get("tasks_placed"), 30);
 //! ```
 
 #![warn(missing_docs)]
@@ -52,26 +64,20 @@ mod refine;
 
 pub use algorithms::{min_cost_schedule, Algorithm};
 pub use bdt::bdt;
-pub use best_host::{get_best_host, get_best_host_observed};
+pub use best_host::get_best_host;
 pub use budget::{
     datacenter_reservation, divide_budget, t_calc_task, t_calc_workflow, BudgetSplit, Pot,
 };
 pub use cg::{cg, cg_plus};
 pub use deadline::{min_budget_for_deadline, plan_bicriteria, Bicriteria};
 pub use ensemble::{schedule_ensemble, AdmittedWorkflow, EnsembleMember, EnsembleResult};
-pub use heft::{
-    heft, heft_budg, heft_budg_carry, heft_budg_carry_observed, heft_budg_observed,
-    heft_budg_with_pot, heft_observed, priority_list,
-};
+pub use heft::{heft, heft_budg, heft_budg_carry, priority_list};
 pub use maxmin::{max_min, max_min_budg, sufferage, sufferage_budg};
-pub use minmin::{min_min, min_min_budg, min_min_budg_observed, min_min_budg_with_pot, min_min_observed};
+pub use minmin::{min_min, min_min_budg};
 pub use online::{run_online, OnlineConfig, OnlineOutcome};
 pub use plan::{Candidate, HostEval, PlanState};
 pub use recovery::{
     run_with_recovery, run_with_recovery_observed, EpochRecord, RecoveryConfig, RecoveryOutcome,
     RecoveryPolicy,
 };
-pub use refine::{
-    heft_budg_plus, heft_budg_plus_observed, min_min_budg_plus, refine_schedule,
-    refine_schedule_observed, RefineOrder,
-};
+pub use refine::{heft_budg_plus, min_min_budg_plus, refine_schedule, RefineOrder};

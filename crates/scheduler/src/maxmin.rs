@@ -7,131 +7,127 @@
 //!   **largest** (big tasks first, small ones fill the gaps);
 //! - SUFFERAGE commits the task that would *suffer* most if denied its
 //!   best host: maximal difference between its second-best and best EFT.
+//!
+//! Both are [`Rule`]s of MIN-MIN's ready-set round loop, so they share its
+//! pot handling, best-host cache and decision events.
 
 use crate::best_host::{select, BestHostCache, COST_EPS};
-use crate::budget::{divide_budget, Pot};
+use crate::minmin::{list_schedule, Rule};
 use crate::plan::{HostEval, PlanState};
+use std::cmp::Reverse;
+use wfs_observe::EventSink;
 use wfs_platform::Platform;
 use wfs_simulator::{Schedule, VmId};
 use wfs_workflow::{OrdF64, TaskId, Workflow};
 
-/// Task-selection rule within the ready set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Rule {
-    MaxMin,
-    Sufferage,
-}
-
 /// Run MAX-MIN (unbounded budget).
-pub fn max_min(wf: &Workflow, platform: &Platform) -> Schedule {
-    run(wf, platform, None, Rule::MaxMin)
+pub fn max_min<S: EventSink>(wf: &Workflow, platform: &Platform, sink: &mut S) -> Schedule {
+    list_schedule::<MaxMin, S>(wf, platform, None, sink)
 }
 
 /// Run the budget-aware MAX-MINBUDG.
-pub fn max_min_budg(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
-    run(wf, platform, Some(b_ini), Rule::MaxMin)
+pub fn max_min_budg<S: EventSink>(
+    wf: &Workflow,
+    platform: &Platform,
+    b_ini: f64,
+    sink: &mut S,
+) -> Schedule {
+    list_schedule::<MaxMin, S>(wf, platform, Some(b_ini), sink)
 }
 
 /// Run SUFFERAGE (unbounded budget).
-pub fn sufferage(wf: &Workflow, platform: &Platform) -> Schedule {
-    run(wf, platform, None, Rule::Sufferage)
+pub fn sufferage<S: EventSink>(wf: &Workflow, platform: &Platform, sink: &mut S) -> Schedule {
+    list_schedule::<Sufferage, S>(wf, platform, None, sink)
 }
 
 /// Run the budget-aware SUFFERAGEBUDG.
-pub fn sufferage_budg(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
-    run(wf, platform, Some(b_ini), Rule::Sufferage)
+pub fn sufferage_budg<S: EventSink>(
+    wf: &Workflow,
+    platform: &Platform,
+    b_ini: f64,
+    sink: &mut S,
+) -> Schedule {
+    list_schedule::<Sufferage, S>(wf, platform, Some(b_ini), sink)
 }
 
-fn run(wf: &Workflow, platform: &Platform, b_ini: Option<f64>, rule: Rule) -> Schedule {
-    let split = b_ini.map(|b| divide_budget(wf, platform, b));
-    let mut pot = Pot::new();
-    let mut plan = PlanState::new(wf, platform);
+/// Both rules maximize a score, tie-breaking on smaller EFT, then id.
+/// [`OrdF64`] orders by `total_cmp`, which keeps the rule total: sufferage
+/// scores are differences of EFTs and the ordering must not fall apart if
+/// one of them degenerates to NaN.
+type MaxScoreKey = (Reverse<OrdF64>, OrdF64, u32);
 
-    let mut missing: Vec<usize> = wf.task_ids().map(|t| wf.in_edges(t).len()).collect();
-    let mut ready: Vec<TaskId> = wf.task_ids().filter(|&t| missing[t.index()] == 0).collect();
+fn max_score_key(score: f64, eval: &HostEval, t: TaskId) -> MaxScoreKey {
+    (Reverse(OrdF64(score)), OrdF64(eval.eft), t.0)
+}
 
-    // MAX-MIN reuses the incremental best-host cache (its score is just the
-    // best EFT). SUFFERAGE cannot: its score depends on the whole affordable
-    // candidate *set*, so it runs one combined zero-allocation sweep instead.
-    let mut cache = BestHostCache::new(wf.task_count());
-    let mut last_commit: Option<VmId> = None;
+/// MAX-MIN: the score is the best EFT, so the incremental best-host cache
+/// applies unchanged.
+struct MaxMin;
 
-    while !ready.is_empty() {
-        let mut best: Option<(usize, HostEval, f64)> = None; // (idx, eval, score)
-        for (i, &t) in ready.iter().enumerate() {
-            let limit = match &split {
-                Some(s) => s.share(t) + pot.available(),
-                None => f64::INFINITY,
-            };
-            let (eval, score) = match rule {
-                Rule::MaxMin => {
-                    let eval = cache.best(&plan, t, limit, last_commit);
-                    (eval, eval.eft)
-                }
-                Rule::Sufferage => plan.with_candidate_evals(t, |evals| {
-                    // Sufferage = second-best EFT − best EFT among the
-                    // affordable candidates (∞ limit for the baseline);
-                    // 0 when none is affordable, ∞ when exactly one is.
-                    let (mut e1, mut e2) = (f64::INFINITY, f64::INFINITY);
-                    let mut affordable = 0usize;
-                    for e in evals {
-                        if e.cost <= limit + COST_EPS {
-                            affordable += 1;
-                            if e.eft < e1 {
-                                (e1, e2) = (e.eft, e1);
-                            } else if e.eft < e2 {
-                                e2 = e.eft;
-                            }
-                        }
-                    }
-                    let score = match affordable {
-                        0 => 0.0,
-                        1 => f64::INFINITY,
-                        _ => e2 - e1,
-                    };
-                    (select(evals, limit).best, score)
-                }),
-            };
-            // Maximize the score; tie-break on smaller EFT, then id.
-            // `total_cmp` keeps the rule total: sufferage scores are
-            // differences of EFTs and the ordering must not fall apart if
-            // one of them degenerates to NaN.
-            let better = best.as_ref().is_none_or(|(bi, be, bs)| {
-                match score.total_cmp(bs) {
-                    std::cmp::Ordering::Greater => true,
-                    std::cmp::Ordering::Equal => {
-                        (OrdF64(eval.eft), t.0) < (OrdF64(be.eft), ready[*bi].0)
-                    }
-                    std::cmp::Ordering::Less => false,
-                }
-            });
-            if better {
-                best = Some((i, eval, score));
-            }
-        }
-        #[allow(clippy::expect_used)] // loop guard: `ready` is non-empty
-        let (idx, eval, _) = best.expect("ready set is non-empty");
-        let t = ready.swap_remove(idx);
-        last_commit = Some(plan.commit(t, eval.candidate));
-        cache.forget(t);
-        if let Some(s) = &split {
-            pot.settle(s.share(t), eval.cost);
-        }
-        for succ in wf.successors(t) {
-            missing[succ.index()] -= 1;
-            if missing[succ.index()] == 0 {
-                ready.push(succ);
-            }
-        }
+impl Rule for MaxMin {
+    type Key = MaxScoreKey;
+
+    #[inline]
+    fn rate(
+        cache: &mut BestHostCache,
+        plan: &PlanState<'_>,
+        t: TaskId,
+        limit: f64,
+        last_commit: Option<VmId>,
+    ) -> (HostEval, Self::Key) {
+        let eval = cache.best(plan, t, limit, last_commit);
+        (eval, max_score_key(eval.eft, &eval, t))
     }
-    debug_assert!(plan.is_complete());
-    plan.into_schedule()
+}
+
+/// SUFFERAGE: the score depends on the whole affordable candidate *set*,
+/// which the cache does not keep, so every rating runs one combined
+/// zero-allocation sweep instead.
+struct Sufferage;
+
+impl Rule for Sufferage {
+    type Key = MaxScoreKey;
+
+    #[inline]
+    fn rate(
+        _: &mut BestHostCache,
+        plan: &PlanState<'_>,
+        t: TaskId,
+        limit: f64,
+        _: Option<VmId>,
+    ) -> (HostEval, Self::Key) {
+        plan.with_candidate_evals(t, |evals| {
+            // Sufferage = second-best EFT − best EFT among the affordable
+            // candidates (∞ limit for the baseline); 0 when none is
+            // affordable, ∞ when exactly one is.
+            let (mut e1, mut e2) = (f64::INFINITY, f64::INFINITY);
+            let mut affordable = 0usize;
+            for e in evals {
+                if e.cost <= limit + COST_EPS {
+                    affordable += 1;
+                    if e.eft < e1 {
+                        (e1, e2) = (e.eft, e1);
+                    } else if e.eft < e2 {
+                        e2 = e.eft;
+                    }
+                }
+            }
+            let score = match affordable {
+                0 => 0.0,
+                1 => f64::INFINITY,
+                _ => e2 - e1,
+            };
+            let eval = select(evals, limit).best;
+            (eval, max_score_key(score, &eval, t))
+        })
+    }
 }
 
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // exact-constant assertions are intentional in tests
 mod tests {
     use super::*;
+    use wfs_observe::NoopSink;
     use wfs_simulator::{simulate, SimConfig};
     use wfs_workflow::gen::{bag_of_tasks, cybershake, montage, GenConfig};
 
@@ -144,10 +140,10 @@ mod tests {
         let wf = montage(GenConfig::new(30, 1));
         let p = paper();
         for s in [
-            max_min(&wf, &p),
-            max_min_budg(&wf, &p, 1.0),
-            sufferage(&wf, &p),
-            sufferage_budg(&wf, &p, 1.0),
+            max_min(&wf, &p, &mut NoopSink),
+            max_min_budg(&wf, &p, 1.0, &mut NoopSink),
+            sufferage(&wf, &p, &mut NoopSink),
+            sufferage_budg(&wf, &p, 1.0, &mut NoopSink),
         ] {
             s.validate(&wf).unwrap();
         }
@@ -167,7 +163,10 @@ mod tests {
         .total_cost;
         for mult in [1.2, 2.0] {
             let budget = floor * mult;
-            for s in [max_min_budg(&wf, &p, budget), sufferage_budg(&wf, &p, budget)] {
+            for s in [
+                max_min_budg(&wf, &p, budget, &mut NoopSink),
+                sufferage_budg(&wf, &p, budget, &mut NoopSink),
+            ] {
                 let r = simulate(&wf, &p, &s, &SimConfig::planning()).unwrap();
                 assert!(
                     r.total_cost <= budget * 1.1,
@@ -190,8 +189,8 @@ mod tests {
         }
         let wf = b.build().unwrap();
         let p = paper();
-        let s_max = max_min(&wf, &p);
-        let s_min = crate::min_min(&wf, &p);
+        let s_max = max_min(&wf, &p, &mut NoopSink);
+        let s_min = crate::min_min(&wf, &p, &mut NoopSink);
         let cfg = SimConfig::planning();
         let r_max = simulate(&wf, &p, &s_max, &cfg).unwrap();
         let r_min = simulate(&wf, &p, &s_min, &cfg).unwrap();
@@ -205,7 +204,7 @@ mod tests {
     fn sufferage_handles_bags() {
         let wf = bag_of_tasks(10, 500.0, 0.0);
         let p = paper();
-        let s = sufferage(&wf, &p);
+        let s = sufferage(&wf, &p, &mut NoopSink);
         s.validate(&wf).unwrap();
         assert!(s.used_vm_count() >= 1);
     }
@@ -214,7 +213,9 @@ mod tests {
     fn deterministic() {
         let wf = montage(GenConfig::new(60, 2));
         let p = paper();
-        assert_eq!(max_min_budg(&wf, &p, 2.0), max_min_budg(&wf, &p, 2.0));
-        assert_eq!(sufferage_budg(&wf, &p, 2.0), sufferage_budg(&wf, &p, 2.0));
+        let max_min = || max_min_budg(&wf, &p, 2.0, &mut NoopSink);
+        assert_eq!(max_min(), max_min());
+        let sufferage = || sufferage_budg(&wf, &p, 2.0, &mut NoopSink);
+        assert_eq!(sufferage(), sufferage());
     }
 }

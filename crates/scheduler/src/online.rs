@@ -20,6 +20,7 @@
 //! charged, exactly the risk the paper flags for dynamic decisions.
 
 use crate::heft::heft_budg;
+use wfs_observe::NoopSink;
 use wfs_platform::{CategoryId, Platform};
 use wfs_simulator::{realize_weights, WeightModel};
 use wfs_workflow::{TaskId, Workflow};
@@ -111,7 +112,7 @@ pub fn run_online(
         WeightModel::Stochastic { seed: cfg.seed }
     };
     let realized = realize_weights(wf, model);
-    let (schedule, _list) = heft_budg(wf, platform, b_ini);
+    let (schedule, _list) = heft_budg(wf, platform, b_ini, &mut NoopSink);
     let bw = platform.datacenter.bandwidth;
 
     let mut vms: Vec<OnlineVm> = schedule

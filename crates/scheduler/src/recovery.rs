@@ -25,12 +25,12 @@
 
 use crate::algorithms::{min_cost_schedule, Algorithm};
 use crate::budget::{datacenter_reservation, Pot};
-use crate::heft::heft_budg_carry_observed;
+use crate::heft::heft_budg_carry;
 use serde::{Deserialize, Serialize};
 use wfs_observe::{Event as Obs, EventSink, NoopSink};
 use wfs_platform::{CategoryId, Platform};
 use wfs_simulator::{
-    plan_lint_faulted, simulate_with_faults_observed, stream_seed, FaultConfig, FaultStats,
+    plan_lint_faulted, simulate_with_faults, stream_seed, FaultConfig, FaultStats,
     Schedule, SimConfig, SimError, VmId, WeightModel,
 };
 use wfs_workflow::{TaskId, Workflow, WorkflowBuilder};
@@ -398,7 +398,7 @@ pub fn run_with_recovery_observed<S: EventSink>(
                         min_cost_schedule(sub_ref, platform)
                     } else {
                         let (s, carried) =
-                            heft_budg_carry_observed(sub_ref, platform, remaining, pot, sink);
+                            heft_budg_carry(sub_ref, platform, remaining, pot, sink);
                         pot = carried;
                         s
                     }
@@ -417,7 +417,7 @@ pub fn run_with_recovery_observed<S: EventSink>(
         let faults = epoch_faults(cfg.faults, epoch);
         let sim_cfg = SimConfig::new(epoch_weights(cfg.weights, epoch));
         let run =
-            simulate_with_faults_observed(sub_ref, platform, &schedule, &sim_cfg, &faults, sink)?;
+            simulate_with_faults(sub_ref, platform, &schedule, &sim_cfg, &faults, sink)?;
 
         if cfg.lint {
             let clause = budget_clause(cfg, epoch, if epoch == 0 { cfg.budget } else { remaining }, degraded_this);

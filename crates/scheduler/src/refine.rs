@@ -9,8 +9,8 @@
 //! kept. This is an order of magnitude more CPU-demanding than HEFTBUDG
 //! (§IV-B) — the trade-off the paper quantifies in Table III.
 
-use crate::heft::{heft_budg, heft_budg_observed};
-use wfs_observe::{Event as Obs, EventSink, NoopSink};
+use crate::heft::heft_budg;
+use wfs_observe::{Event as Obs, EventSink};
 use wfs_platform::Platform;
 use wfs_simulator::{simulate, Schedule, SimConfig};
 use wfs_workflow::{TaskId, Workflow};
@@ -27,42 +27,33 @@ pub enum RefineOrder {
 /// Makespan must improve by more than this to accept a move (seconds).
 const IMPROVE_EPS: f64 = 1e-9;
 
-/// Run HEFTBUDG followed by the re-mapping refinement.
-pub fn heft_budg_plus(
-    wf: &Workflow,
-    platform: &Platform,
-    b_ini: f64,
-    order: RefineOrder,
-) -> Schedule {
-    let (sched, list) = heft_budg(wf, platform, b_ini);
-    refine_schedule(wf, platform, b_ini, sched, &list, order)
-}
-
-/// [`heft_budg_plus`] with an event sink: the HEFTBUDG planning events plus
-/// one [`Event::RefineMove`](wfs_observe::Event::RefineMove) per accepted
+/// Run HEFTBUDG followed by the re-mapping refinement. `sink` receives the
+/// HEFTBUDG planning events plus one
+/// [`Event::RefineMove`](wfs_observe::Event::RefineMove) per accepted
 /// re-mapping and trial/acceptance counters.
-pub fn heft_budg_plus_observed<S: EventSink>(
+pub fn heft_budg_plus<S: EventSink>(
     wf: &Workflow,
     platform: &Platform,
     b_ini: f64,
     order: RefineOrder,
     sink: &mut S,
 ) -> Schedule {
-    let (sched, list) = heft_budg_observed(wf, platform, b_ini, sink);
-    refine_schedule_observed(wf, platform, b_ini, sched, &list, order, sink)
+    let (sched, list) = heft_budg(wf, platform, b_ini, sink);
+    refine_schedule(wf, platform, b_ini, sched, &list, order, sink)
 }
 
 /// MIN-MINBUDG followed by the same refinement pass — the variant the
 /// paper points out "could be designed for MIN-MINBUDG" (§V-B closing
 /// remark) but does not evaluate. The HEFT priority list orders the
 /// re-examination and keeps per-VM orders executable.
-pub fn min_min_budg_plus(
+pub fn min_min_budg_plus<S: EventSink>(
     wf: &Workflow,
     platform: &Platform,
     b_ini: f64,
     order: RefineOrder,
+    sink: &mut S,
 ) -> Schedule {
-    let sched = crate::min_min_budg(wf, platform, b_ini);
+    let sched = crate::min_min_budg(wf, platform, b_ini, sink);
     let list = crate::priority_list(wf, platform);
     // MIN-MIN's per-VM orders follow its own commit sequence, which is a
     // valid linear extension but not necessarily rank-sorted; normalize to
@@ -73,25 +64,13 @@ pub fn min_min_budg_plus(
     }
     let mut sched = sched;
     sched.sort_orders_by(|x| pos[x.index()]);
-    refine_schedule(wf, platform, b_ini, sched, &list, order)
+    refine_schedule(wf, platform, b_ini, sched, &list, order, sink)
 }
 
 /// The refinement pass alone, applicable to any valid schedule plus its
 /// priority list (exposed for tests and ablations).
-pub fn refine_schedule(
-    wf: &Workflow,
-    platform: &Platform,
-    b_ini: f64,
-    sched: Schedule,
-    list: &[TaskId],
-    order: RefineOrder,
-) -> Schedule {
-    refine_schedule_observed(wf, platform, b_ini, sched, list, order, &mut NoopSink)
-}
-
-/// [`refine_schedule`] with an event sink.
 #[allow(clippy::too_many_arguments)]
-pub fn refine_schedule_observed<S: EventSink>(
+pub fn refine_schedule<S: EventSink>(
     wf: &Workflow,
     platform: &Platform,
     b_ini: f64,
@@ -189,6 +168,7 @@ fn consider(
 #[allow(clippy::float_cmp)] // exact-constant assertions are intentional in tests
 mod tests {
     use super::*;
+    use wfs_observe::NoopSink;
     use wfs_simulator::SimConfig;
     use wfs_workflow::gen::{cybershake, montage, GenConfig};
 
@@ -206,10 +186,10 @@ mod tests {
         let wf = montage(GenConfig::new(30, 1));
         let p = paper();
         for budget in [1.0, 2.0, 4.0] {
-            let (base, _) = heft_budg(&wf, &p, budget);
+            let (base, _) = heft_budg(&wf, &p, budget, &mut NoopSink);
             let (t0, _) = planned(&wf, &p, &base);
             for order in [RefineOrder::Forward, RefineOrder::Reverse] {
-                let refined = heft_budg_plus(&wf, &p, budget, order);
+                let refined = heft_budg_plus(&wf, &p, budget, order, &mut NoopSink);
                 refined.validate(&wf).unwrap();
                 let (t1, c1) = planned(&wf, &p, &refined);
                 assert!(t1 <= t0 + 1e-6, "refined {t1} worse than base {t0} ({order:?})");
@@ -239,9 +219,9 @@ mod tests {
             .total_cost;
             for mult in [1.3, 1.8, 2.5] {
                 let budget = floor * mult;
-                let (base, _) = heft_budg(&wf, &p, budget);
+                let (base, _) = heft_budg(&wf, &p, budget, &mut NoopSink);
                 let (t0, _) = planned(&wf, &p, &base);
-                let refined = heft_budg_plus(&wf, &p, budget, RefineOrder::Forward);
+                let refined = heft_budg_plus(&wf, &p, budget, RefineOrder::Forward, &mut NoopSink);
                 let (t1, _) = planned(&wf, &p, &refined);
                 cases += 1;
                 if t1 < t0 - 1e-6 {
@@ -259,8 +239,8 @@ mod tests {
         let wf = cybershake(GenConfig::new(30, 1));
         let p = paper();
         let budget = 3.0;
-        let (base, _) = heft_budg(&wf, &p, budget);
-        let refined = heft_budg_plus(&wf, &p, budget, RefineOrder::Forward);
+        let (base, _) = heft_budg(&wf, &p, budget, &mut NoopSink);
+        let refined = heft_budg_plus(&wf, &p, budget, RefineOrder::Forward, &mut NoopSink);
         assert!(
             refined.used_vm_count() <= base.used_vm_count(),
             "refined {} vs base {}",
@@ -283,9 +263,9 @@ mod tests {
             .unwrap()
             .total_cost;
             let budget = floor * 1.5;
-            let base = crate::min_min_budg(&wf, &p, budget);
+            let base = crate::min_min_budg(&wf, &p, budget, &mut NoopSink);
             let (t0, _) = planned(&wf, &p, &base);
-            let refined = min_min_budg_plus(&wf, &p, budget, RefineOrder::Forward);
+            let refined = min_min_budg_plus(&wf, &p, budget, RefineOrder::Forward, &mut NoopSink);
             refined.validate(&wf).unwrap();
             let (t1, c1) = planned(&wf, &p, &refined);
             assert!(t1 <= t0 + 1e-6, "refined {t1} worse than base {t0}");
@@ -298,8 +278,8 @@ mod tests {
         let wf = montage(GenConfig::new(30, 3));
         let p = paper();
         for order in [RefineOrder::Forward, RefineOrder::Reverse] {
-            let a = heft_budg_plus(&wf, &p, 2.0, order);
-            let b = heft_budg_plus(&wf, &p, 2.0, order);
+            let a = heft_budg_plus(&wf, &p, 2.0, order, &mut NoopSink);
+            let b = heft_budg_plus(&wf, &p, 2.0, order, &mut NoopSink);
             assert_eq!(a, b);
             a.validate(&wf).unwrap();
         }

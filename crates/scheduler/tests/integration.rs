@@ -4,6 +4,7 @@
 // Helper fns in integration-test files miss the tests-only exemption.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use wfs_observe::NoopSink;
 use wfs_platform::{BillingPolicy, Datacenter, Platform, VmCategory};
 use wfs_scheduler::{
     divide_budget, get_best_host, heft_budg, min_cost_schedule, priority_list, Algorithm,
@@ -31,8 +32,8 @@ fn priority_list_stable_across_calls_and_budget_independent() {
     let b = priority_list(&wf, &p);
     assert_eq!(a, b);
     // HEFTBUDG uses the same list regardless of the budget.
-    let (_, l1) = heft_budg(&wf, &p, 0.1);
-    let (_, l2) = heft_budg(&wf, &p, 100.0);
+    let (_, l1) = heft_budg(&wf, &p, 0.1, &mut NoopSink);
+    let (_, l2) = heft_budg(&wf, &p, 100.0, &mut NoopSink);
     assert_eq!(l1, l2);
     assert_eq!(l1, a);
 }
@@ -61,7 +62,7 @@ fn get_best_host_degrades_gracefully_with_shrinking_limit() {
     let mut last_cost = f64::INFINITY;
     let mut last_eft = 0.0f64;
     for limit in [1.0, 0.01, 0.001, 0.0001, 0.0] {
-        let e = get_best_host(&plan, t, limit);
+        let e = get_best_host(&plan, t, limit, &mut NoopSink);
         assert!(e.cost <= last_cost + 1e-12, "cost rose as limit shrank");
         assert!(e.eft >= last_eft - 1e-12, "eft improved as limit shrank");
         last_cost = e.cost;
@@ -138,7 +139,7 @@ fn planned_cost_tracks_simulated_cost_for_heftbudg() {
     for ty_seed in 1..=3u64 {
         let wf = montage(GenConfig::new(60, ty_seed));
         let b = floor(&wf, &p) * 2.0;
-        let (s, _) = heft_budg(&wf, &p, b);
+        let (s, _) = heft_budg(&wf, &p, b, &mut NoopSink);
         let r = simulate(&wf, &p, &s, &SimConfig::planning()).unwrap();
         assert!(r.total_cost <= b * 1.05, "seed {ty_seed}: {} > {b}", r.total_cost);
         assert!(r.total_cost >= b * 0.05, "suspiciously cheap: {}", r.total_cost);

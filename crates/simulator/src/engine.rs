@@ -934,13 +934,13 @@ pub fn simulate(
     schedule: &Schedule,
     config: &SimConfig,
 ) -> Result<SimulationReport, SimError> {
-    let mut sink = NoopSink;
-    simulate_observed(wf, platform, schedule, config, &mut sink)
+    simulate_observed(wf, platform, schedule, config, &mut NoopSink)
 }
 
 /// [`simulate`] with an event sink: every boot, task, transfer and the
 /// final Eq. 1–2 bill are reported to `sink`. With [`NoopSink`] this is
-/// the same code path as [`simulate`] (the emissions compile away).
+/// the same code path as [`simulate`] (the emissions compile away). It is
+/// [`simulate_with_faults`] without faults.
 pub fn simulate_observed<S: EventSink>(
     wf: &Workflow,
     platform: &Platform,
@@ -948,32 +948,18 @@ pub fn simulate_observed<S: EventSink>(
     config: &SimConfig,
     sink: &mut S,
 ) -> Result<SimulationReport, SimError> {
-    schedule.validate(wf)?;
-    schedule.check_categories(platform)?;
-    Engine::new(wf, platform, schedule, config, &FaultConfig::none(), sink)
-        .run()
+    simulate_with_faults(wf, platform, schedule, config, &FaultConfig::none(), sink)
         .map(|r| r.report)
 }
 
-/// Validate `schedule` and simulate with fault injection. With faults the
-/// run cannot "stall": tasks stranded by crashed or abandoned VMs simply
-/// stay unfinished and the returned [`FaultRun`] reports `complete =
-/// false` with the partial cost billed so far.
-pub fn simulate_with_faults(
-    wf: &Workflow,
-    platform: &Platform,
-    schedule: &Schedule,
-    config: &SimConfig,
-    faults: &FaultConfig,
-) -> Result<FaultRun, SimError> {
-    let mut sink = NoopSink;
-    simulate_with_faults_observed(wf, platform, schedule, config, faults, &mut sink)
-}
-
-/// [`simulate_with_faults`] with an event sink; fault injections (crashes,
-/// abandoned boots, degradation windows) and the work they abort are
-/// reported alongside the regular execution events.
-pub fn simulate_with_faults_observed<S: EventSink>(
+/// Validate `schedule` and simulate with fault injection — the one engine
+/// entry. With faults the run cannot "stall": tasks stranded by crashed or
+/// abandoned VMs simply stay unfinished and the returned [`FaultRun`]
+/// reports `complete = false` with the partial cost billed so far. Fault
+/// injections (crashes, abandoned boots, degradation windows) and the work
+/// they abort are reported to `sink` alongside the regular execution
+/// events.
+pub fn simulate_with_faults<S: EventSink>(
     wf: &Workflow,
     platform: &Platform,
     schedule: &Schedule,

@@ -35,9 +35,7 @@ pub mod svg;
 mod weights;
 
 pub use config::{DcCapacity, SimConfig};
-pub use engine::{
-    simulate, simulate_observed, simulate_with_faults, simulate_with_faults_observed, SimError,
-};
+pub use engine::{simulate, simulate_observed, simulate_with_faults, SimError};
 pub use faults::{
     stream_seed, BootFaultModel, CrashModel, DegradationModel, FaultConfig, FaultRun, FaultStats,
 };
@@ -50,6 +48,7 @@ pub use weights::{realize_weights, sample_standard_normal, WeightModel};
 #[allow(clippy::float_cmp)] // exact-constant assertions are intentional in tests
 mod engine_tests {
     use super::*;
+    use wfs_observe::NoopSink;
     use wfs_platform::{BillingPolicy, CategoryId, Datacenter, Platform, VmCategory};
     use wfs_workflow::gen::{bag_of_tasks, chain, fork_join, montage, GenConfig};
     use wfs_workflow::{StochasticWeight, TaskId, WorkflowBuilder};
@@ -261,8 +260,8 @@ mod engine_tests {
         }
         let want = SimError::Schedule(ScheduleError::UnknownCategory(vm, CategoryId(99)));
         assert_eq!(simulate(&wf, &p, &s, &SimConfig::planning()).unwrap_err(), want);
-        let faulted =
-            simulate_with_faults(&wf, &p, &s, &SimConfig::planning(), &FaultConfig::none());
+        let none = FaultConfig::none();
+        let faulted = simulate_with_faults(&wf, &p, &s, &SimConfig::planning(), &none, &mut NoopSink);
         assert_eq!(faulted.unwrap_err(), want);
     }
 

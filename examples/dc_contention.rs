@@ -26,7 +26,7 @@ fn main() {
     // A budget just past the parallelization threshold — many VMs, spend
     // close to the budget: exactly where the paper saw overruns.
     let budget = floor.total_cost * 1.25;
-    let (schedule, _) = heft_budg(&wf, &platform, budget);
+    let (schedule, _) = heft_budg(&wf, &platform, budget, &mut NoopSink);
     println!(
         "LIGO-90, budget ${budget:.3} ({} VMs enrolled)\n",
         schedule.used_vm_count()

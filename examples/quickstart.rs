@@ -27,7 +27,7 @@ fn main() {
 
     // 3. Schedule with HEFTBUDG under a $2 budget.
     let budget = 2.0;
-    let (schedule, _priority) = heft_budg(&wf, &platform, budget);
+    let (schedule, _priority) = heft_budg(&wf, &platform, budget, &mut NoopSink);
     println!("\nHEFTBUDG enrolled {} VMs for a ${budget} budget", schedule.used_vm_count());
 
     // 4. Conservative planning forecast, then 5 stochastic replays.

@@ -31,7 +31,7 @@ fn main() {
             )
             .unwrap();
             let budget = floor.total_cost * 3.0;
-            let (schedule, _) = heft_budg(&wf, &platform, budget);
+            let (schedule, _) = heft_budg(&wf, &platform, budget, &mut NoopSink);
 
             let mut within = 0usize;
             let mut cost_sum = 0.0;

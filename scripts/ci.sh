@@ -33,14 +33,12 @@ for wf in montage30 ligo30; do
 done
 
 echo "== trace round-trip smoke (wfs trace + faults --trace/--ledger)"
-# Plain grep, not `grep -q`: -q exits at the first match and the rest of
-# wfs's output (the --counters table) then hits a closed pipe.
 "$WFS" trace "$CI_TMP/montage30.json" --budget 2.0 --seed 3 --ledger --counters \
-  -o "$CI_TMP/montage30.trace.json" | grep "reconciles  yes (exact)" >/dev/null
+  -o "$CI_TMP/montage30.trace.json" | grep -q "reconciles  yes (exact)"
 python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$CI_TMP/montage30.trace.json" \
   2>/dev/null || test -s "$CI_TMP/montage30.trace.json"
 "$WFS" faults "$CI_TMP/ligo30.json" --budget 3.0 --mtbf 600 --boot-fail 0.1 \
-  --seed 7 --trace "$CI_TMP/ligo30.trace.json" --ledger | grep "reconciles  yes (exact)" >/dev/null
+  --seed 7 --trace "$CI_TMP/ligo30.trace.json" --ledger | grep -q "reconciles  yes (exact)"
 test -s "$CI_TMP/ligo30.trace.json"
 echo "  trace exports written, ledgers reconcile exactly"
 

@@ -28,7 +28,9 @@
 //! fails.
 
 use budget_sched::prelude::*;
+use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -98,6 +100,37 @@ fn failed(e: impl std::fmt::Display) -> CliError {
 
 type CliResult = Result<(), CliError>;
 
+/// Set once stdout's reader has gone away (`wfs … | head`). The rest of
+/// stdout is then discarded; the command still writes its files and exits
+/// with its normal code.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Write to stdout without panicking: a closed pipe discards the output,
+/// any other write error fails the command (exit 1).
+fn write_stdout(args: std::fmt::Arguments<'_>) -> CliResult {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return Ok(());
+    }
+    match std::io::stdout().write_fmt(args) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            Ok(())
+        }
+        r => r.map_err(|e| failed(format!("cannot write to stdout: {e}"))),
+    }
+}
+
+/// `print!` through [`write_stdout`]; returns early on a failed write.
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*))? };
+}
+
+/// `println!` through [`write_stdout`]; returns early on a failed write.
+macro_rules! outln {
+    () => { out!("\n") };
+    ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
+}
+
 /// Fetch the value following a `--flag`.
 fn opt<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
@@ -123,7 +156,7 @@ fn emit(out: Option<&str>, content: &str) -> CliResult {
             Ok(())
         }
         None => {
-            println!("{content}");
+            outln!("{content}");
             Ok(())
         }
     }
@@ -159,7 +192,7 @@ fn load_platform(args: &[String]) -> Result<Platform, CliError> {
 fn run(args: &[String]) -> CliResult {
     let cmd = args.first().ok_or("missing command")?;
     if cmd == "help" || args.iter().any(|a| a == "--help") {
-        println!("{}", usage());
+        outln!("{}", usage());
         return Ok(());
     }
     let rest = &args[1..];
@@ -205,14 +238,14 @@ fn cmd_gen(args: &[String]) -> CliResult {
 fn cmd_stats(args: &[String]) -> CliResult {
     let wf = load_workflow(args.first().ok_or("stats: missing workflow file")?)?;
     let s = analysis::stats(&wf);
-    println!("workflow      {}", wf.name);
-    println!("tasks         {}", s.tasks);
-    println!("edges         {}", s.edges);
-    println!("depth/width   {}/{}", s.depth, s.width);
-    println!("entries/exits {}/{}", s.entries, s.exits);
-    println!("total work    {:.1} Gflop", s.total_work);
-    println!("total data    {:.1} MB", s.total_data / 1e6);
-    println!("external I/O  {:.1} MB in / {:.1} MB out", wf.external_input_data() / 1e6, wf.external_output_data() / 1e6);
+    outln!("workflow      {}", wf.name);
+    outln!("tasks         {}", s.tasks);
+    outln!("edges         {}", s.edges);
+    outln!("depth/width   {}/{}", s.depth, s.width);
+    outln!("entries/exits {}/{}", s.entries, s.exits);
+    outln!("total work    {:.1} Gflop", s.total_work);
+    outln!("total data    {:.1} MB", s.total_data / 1e6);
+    outln!("external I/O  {:.1} MB in / {:.1} MB out", wf.external_input_data() / 1e6, wf.external_output_data() / 1e6);
     Ok(())
 }
 
@@ -254,17 +287,17 @@ fn cmd_simulate(args: &[String]) -> CliResult {
         SimConfig::stochastic(seed)
     };
     let r = simulate(&wf, &platform, &sched, &cfg).map_err(failed)?;
-    println!("makespan   {:.1} s", r.makespan);
-    println!("vm cost    ${:.4}", r.vm_cost);
-    println!("dc cost    ${:.4}", r.datacenter_cost);
-    println!("total cost ${:.4}", r.total_cost);
-    println!("VMs used   {}", r.vms_used);
+    outln!("makespan   {:.1} s", r.makespan);
+    outln!("vm cost    ${:.4}", r.vm_cost);
+    outln!("dc cost    ${:.4}", r.datacenter_cost);
+    outln!("total cost ${:.4}", r.total_cost);
+    outln!("VMs used   {}", r.vms_used);
     if let Some(b) = opt(args, "--budget") {
         let b: f64 = parse(b, "budget")?;
-        println!("in budget  {}", if r.within_budget(b) { "yes" } else { "NO" });
+        outln!("in budget  {}", if r.within_budget(b) { "yes" } else { "NO" });
     }
     if has_flag(args, "--gantt") {
-        println!("\n{}", r.gantt(72));
+        outln!("\n{}", r.gantt(72));
     }
     if let Some(path) = opt(args, "--svg") {
         let svg = budget_sched::simulator::svg::to_svg(
@@ -287,9 +320,9 @@ fn cmd_deadline(args: &[String]) -> CliResult {
         Some((budget, sched)) => {
             let r = simulate(&wf, &platform, &sched, &SimConfig::planning())
                 .map_err(failed)?;
-            println!("min budget  ${budget:.4}");
-            println!("makespan    {:.1} s (deadline {d:.1} s)", r.makespan);
-            println!("VMs         {}", sched.used_vm_count());
+            outln!("min budget  ${budget:.4}");
+            outln!("makespan    {:.1} s (deadline {d:.1} s)", r.makespan);
+            outln!("VMs         {}", sched.used_vm_count());
             Ok(())
         }
         None => Err(failed(format!("deadline {d}s is unreachable at any budget"))),
@@ -334,24 +367,24 @@ fn cmd_trace(args: &[String]) -> CliResult {
         .map_err(|e| failed(format!("cannot write {out_path}: {e}")))?;
     eprintln!("wrote {out_path}");
 
-    println!("algorithm  {alg}");
-    println!("events     {}", rec.events.len());
-    println!("spans      {} ({} instants)", trace.span_count(), trace.instant_count());
-    println!("makespan   {:.1} s", report.makespan);
-    println!("total cost ${:.4} (budget ${budget:.4})", report.total_cost);
+    outln!("algorithm  {alg}");
+    outln!("events     {}", rec.events.len());
+    outln!("spans      {} ({} instants)", trace.span_count(), trace.instant_count());
+    outln!("makespan   {:.1} s", report.makespan);
+    outln!("total cost ${:.4} (budget ${budget:.4})", report.total_cost);
     if has_flag(args, "--ledger") {
         let ledger = BudgetLedger::from_events(&rec.events);
-        println!();
-        print!("{}", ledger.summary());
-        println!(
+        outln!();
+        out!("{}", ledger.summary());
+        outln!(
             "reconciles  {}",
             if ledger.reconcile(report.total_cost) { "yes (exact)" } else { "NO" }
         );
     }
     if has_flag(args, "--counters") {
         let counters = Counters::from_events(&rec.events);
-        println!();
-        print!("{}", counters.table());
+        outln!();
+        out!("{}", counters.table());
     }
     Ok(())
 }
@@ -426,28 +459,28 @@ fn cmd_faults(args: &[String]) -> CliResult {
         run_with_recovery(&wf, &platform, &cfg)
     }
     .map_err(failed)?;
-    println!("{:<6} {:>6} {:>8} {:>10} {:>10} {:>8} {:>6} {:>6}",
+    outln!("{:<6} {:>6} {:>8} {:>10} {:>10} {:>8} {:>6} {:>6}",
         "epoch", "tasks", "durable", "cost $", "budget $", "span s", "crash", "retry");
     for e in &out.epochs {
-        println!(
+        outln!(
             "{:<6} {:>6} {:>8} {:>10.4} {:>10.4} {:>8.0} {:>6} {:>6}",
             e.epoch, e.scheduled, e.newly_durable, e.cost, e.budget_before, e.makespan,
             e.stats.crashes, e.stats.boot_retries
         );
     }
-    println!();
-    println!("outcome     {}", if out.completed { "COMPLETED" } else { "INCOMPLETE" });
-    println!("policy      {policy} ({alg})");
-    println!("total cost  ${:.4} / ${:.4}{}", out.total_cost, out.budget,
+    outln!();
+    outln!("outcome     {}", if out.completed { "COMPLETED" } else { "INCOMPLETE" });
+    outln!("policy      {policy} ({alg})");
+    outln!("total cost  ${:.4} / ${:.4}{}", out.total_cost, out.budget,
         if out.within_budget() { "" } else { "  OVER BUDGET" });
-    println!("wall clock  {:.0} s over {} epoch(s), {} re-plan(s)",
+    outln!("wall clock  {:.0} s over {} epoch(s), {} re-plan(s)",
         out.wall_clock, out.epochs.len(), out.replans);
-    println!("faults      {} crash(es), {} task(s) lost, {} boot retry(ies), {} degradation window(s)",
+    outln!("faults      {} crash(es), {} task(s) lost, {} boot retry(ies), {} degradation window(s)",
         out.stats.crashes, out.stats.tasks_lost, out.stats.boot_retries, out.stats.degradation_windows);
-    println!("waste       {:.0} s compute lost, {:.0} s billed-but-wasted",
+    outln!("waste       {:.0} s compute lost, {:.0} s billed-but-wasted",
         out.stats.wasted_compute_seconds, out.stats.wasted_billed_seconds);
     if out.degraded_to_cheapest {
-        println!("degraded    fell back to cheapest-category VM (budget exhausted)");
+        outln!("degraded    fell back to cheapest-category VM (budget exhausted)");
     }
     if let Some(tp) = trace_path {
         let trace = ChromeTrace::from_events(&rec.events);
@@ -456,9 +489,9 @@ fn cmd_faults(args: &[String]) -> CliResult {
     }
     if want_ledger {
         let ledger = BudgetLedger::from_events(&rec.events);
-        println!();
-        print!("{}", ledger.summary());
-        println!(
+        outln!();
+        out!("{}", ledger.summary());
+        outln!(
             "reconciles  {}",
             if ledger.reconcile(out.total_cost) { "yes (exact)" } else { "NO" }
         );
@@ -488,13 +521,13 @@ fn cmd_sweep(args: &[String]) -> CliResult {
             .collect::<Result<_, _>>()?,
         None => vec![Algorithm::MinMinBudg, Algorithm::HeftBudg],
     };
-    println!("{:<14} {:>10} {:>10} {:>10} {:>5}", "algorithm", "budget $", "makespan", "cost $", "VMs");
+    outln!("{:<14} {:>10} {:>10} {:>10} {:>5}", "algorithm", "budget $", "makespan", "cost $", "VMs");
     for &b in &budgets {
         for &alg in &algs {
             let sched = alg.run(&wf, &platform, b);
             let r = simulate(&wf, &platform, &sched, &SimConfig::planning())
                 .map_err(failed)?;
-            println!(
+            outln!(
                 "{:<14} {:>10.3} {:>9.0}s {:>10.4} {:>5}",
                 alg.name(),
                 b,

@@ -24,8 +24,9 @@
 //! let wf = montage(GenConfig::new(30, 1));
 //! let platform = Platform::paper_default();
 //!
-//! // Schedule under a $2 budget with HEFTBUDG.
-//! let (schedule, _) = heft_budg(&wf, &platform, 2.0);
+//! // Schedule under a $2 budget with HEFTBUDG; a `RecordingSink` instead
+//! // of the `NoopSink` would record every placement decision.
+//! let (schedule, _) = heft_budg(&wf, &platform, 2.0, &mut NoopSink);
 //!
 //! // Replay with stochastic weights and check the bill.
 //! let run = simulate(&wf, &platform, &schedule, &SimConfig::stochastic(42)).unwrap();
@@ -53,9 +54,9 @@ pub mod prelude {
         RefineOrder,
     };
     pub use wfs_simulator::{
-        simulate, simulate_observed, simulate_with_faults, simulate_with_faults_observed,
-        BootFaultModel, CrashModel, DcCapacity, DegradationModel, FaultConfig, FaultRun,
-        FaultStats, Schedule, SimConfig, SimulationReport, VmId, WeightModel,
+        simulate, simulate_observed, simulate_with_faults, BootFaultModel, CrashModel, DcCapacity,
+        DegradationModel, FaultConfig, FaultRun, FaultStats, Schedule, SimConfig, SimulationReport,
+        VmId, WeightModel,
     };
     pub use wfs_workflow::gen::{
         bag_of_tasks, chain, cybershake, epigenomics, fork_join, layered_random, ligo, montage,

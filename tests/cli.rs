@@ -7,13 +7,26 @@
 
 use budget_sched::prelude::{Algorithm, CategoryId, Platform, Schedule, Workflow};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn wfs(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_wfs"))
         .args(args)
         .output()
         .expect("wfs binary runs")
+}
+
+/// Run `wfs` with its stdout closed before it writes anything, as in
+/// `wfs … | head -0`.
+fn wfs_closed_stdout(args: &[&str]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_wfs"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("wfs binary runs");
+    drop(child.stdout.take());
+    child.wait_with_output().expect("wfs exits")
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -384,4 +397,40 @@ fn faults_subcommand_runs_and_is_deterministic() {
     // Unknown policy is a usage error.
     let bad = wfs(&["faults", wf.to_str().unwrap(), "--budget", "1", "--policy", "pray"]);
     assert!(!bad.status.success());
+}
+
+#[test]
+fn closed_stdout_discards_output_but_writes_files() {
+    let wf = tmp("pipe30.json");
+    assert!(wfs(&["gen", "montage", "30", "--seed", "4", "-o", wf.to_str().unwrap()])
+        .status
+        .success());
+    let trace = tmp("pipe30.trace.json");
+    let fault_trace = tmp("pipe30-faults.trace.json");
+    let wf = wf.to_str().unwrap();
+    for (args, file) in [
+        (
+            vec![
+                "trace", wf, "--budget", "2", "--ledger", "--counters", "-o",
+                trace.to_str().unwrap(),
+            ],
+            &trace,
+        ),
+        // `faults` writes its trace after printing its table.
+        (
+            vec![
+                "faults", wf, "--budget", "3.0", "--mtbf", "600", "--seed", "9", "--ledger",
+                "--trace", fault_trace.to_str().unwrap(),
+            ],
+            &fault_trace,
+        ),
+    ] {
+        let out = wfs_closed_stdout(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        let json: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(file).unwrap()).unwrap();
+        assert!(!json["traceEvents"].as_array().unwrap().is_empty(), "{args:?}");
+    }
 }

@@ -189,7 +189,7 @@ fn budget_held_across_all_five_benchmark_types() {
         let floor = planning(wf, &p, &min_cost_schedule(wf, &p)).total_cost;
         for mult in [1.0, 1.3, 2.0, 5.0] {
             let budget = floor * mult;
-            let (s, _) = budget_sched::scheduler::heft_budg(wf, &p, budget);
+            let (s, _) = budget_sched::scheduler::heft_budg(wf, &p, budget, &mut NoopSink);
             let r = planning(wf, &p, &s);
             assert!(
                 r.total_cost <= budget * 1.05 + 1e-9,

@@ -36,8 +36,8 @@ fn fault_injection_is_bit_deterministic() {
             let sched = alg.run(wf, &p, 2.0);
             for faults in [mild(9), storm(9)] {
                 let cfg = SimConfig::stochastic(5);
-                let a = simulate_with_faults(wf, &p, &sched, &cfg, &faults).unwrap();
-                let b = simulate_with_faults(wf, &p, &sched, &cfg, &faults).unwrap();
+                let a = simulate_with_faults(wf, &p, &sched, &cfg, &faults, &mut NoopSink).unwrap();
+                let b = simulate_with_faults(wf, &p, &sched, &cfg, &faults, &mut NoopSink).unwrap();
                 assert_eq!(a, b, "wf {wi} alg {alg} not reproducible");
             }
         }
@@ -52,7 +52,7 @@ fn fault_seeds_decorrelate() {
     let sched = Algorithm::HeftBudg.run(&wf, &p, 2.0);
     let cfg = SimConfig::planning();
     let runs: Vec<_> = (0..8u64)
-        .map(|s| simulate_with_faults(&wf, &p, &sched, &cfg, &storm(s)).unwrap())
+        .map(|s| simulate_with_faults(&wf, &p, &sched, &cfg, &storm(s), &mut NoopSink).unwrap())
         .collect();
     let distinct = runs
         .iter()
@@ -81,7 +81,8 @@ fn zero_fault_rate_is_bit_identical_to_plain_engine() {
             let sched = alg.run(&wf, &p, 2.0);
             for cfg in [SimConfig::planning(), SimConfig::stochastic(17)] {
                 let plain = simulate(&wf, &p, &sched, &cfg).unwrap();
-                let faulted = simulate_with_faults(&wf, &p, &sched, &cfg, &inert).unwrap();
+                let faulted =
+                    simulate_with_faults(&wf, &p, &sched, &cfg, &inert, &mut NoopSink).unwrap();
                 assert_eq!(plain, faulted.report, "{alg}: zero-fault run diverged");
                 assert!(faulted.complete);
                 assert_eq!(faulted.stats, FaultStats::default());
